@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,6 +62,9 @@ func runJobrun(args []string) error {
 		progress = nil
 	}
 	st, result, err := c.Run(ctx, spec, progress)
+	if errors.Is(err, serve.ErrResultEvicted) {
+		return fmt.Errorf("jobrun: %w\nhint: run jobrun again with the same spec — results are a pure function of the spec, so the rerun returns the same bytes; the server's -results-mb sets how long results are kept", err)
+	}
 	if err != nil {
 		return fmt.Errorf("jobrun: %w", err)
 	}

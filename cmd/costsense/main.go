@@ -170,7 +170,7 @@ func runOne(e experiment) error {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: costsense [-trace f] [-metrics f] [-critpath f] [-progress] [-http addr] [-shards n] [-faults spec] {list | exp <id> | exp all | verify | serve [-addr a] [-queue n] [-cache-mb n] [-drain d] [-journal f] [-job-timeout d] | jobrun [-server url] [-spec f]}")
+	return fmt.Errorf("usage: costsense [-trace f] [-metrics f] [-critpath f] [-progress] [-http addr] [-shards n] [-faults spec] {list | exp <id> | exp all | verify | serve [-addr a] [-queue n] [-cache-mb n] [-results-mb n] [-drain d] [-journal f] [-job-timeout d] | jobrun [-server url] [-spec f]}")
 }
 
 // ratio formats a measured/bound quotient.

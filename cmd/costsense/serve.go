@@ -48,6 +48,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", "localhost:8080", "listen `address` for the experiment API")
 	queueCap := fs.Int("queue", 16, "max queued jobs before submissions get 429 (`n`)")
 	cacheMB := fs.Int("cache-mb", 256, "substrate cache budget in `MiB`")
+	resultsMB := fs.Int("results-mb", 256, "budget in `MiB` for retained result bodies; older results answer 410 (resubmit to recompute)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown `deadline` for queued and running jobs")
 	journal := fs.String("journal", "", "job journal `path`; enables crash recovery (restart re-runs incomplete jobs)")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job `deadline` for specs without timeout_ms; 0 = none")
@@ -74,6 +75,7 @@ func runServe(args []string) error {
 	s, err := serve.Open(serve.Config{
 		QueueCap:    *queueCap,
 		CacheBytes:  int64(*cacheMB) << 20,
+		ResultBytes: int64(*resultsMB) << 20,
 		JournalPath: *journal,
 		JobTimeout:  *jobTimeout,
 		// The default mux carries expvar's /debug/vars and (via the

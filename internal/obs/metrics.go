@@ -25,6 +25,7 @@ import (
 	"strconv"
 
 	"costsense/internal/graph"
+	"costsense/internal/jsonw"
 	"costsense/internal/sim"
 )
 
@@ -262,6 +263,36 @@ type Snapshot struct {
 	Classes    []ClassMetric `json:"classes"`
 }
 
+// faultMetrics summarizes the injected faults seen so far, or nil on a
+// fault-free run (the export omits the section).
+func (m *Metrics) faultMetrics() *FaultMetrics {
+	fm := &FaultMetrics{
+		Dropped:     m.dropsByReason[sim.DropLoss-1] + m.dropsByReason[sim.DropLinkDown-1],
+		DeadLetters: m.dropsByReason[sim.DropCrash-1],
+		Crashes:     m.crashes,
+		LinkDowns:   m.linkDowns,
+	}
+	for i := range m.edges {
+		fm.Retx += m.edges[i].Retx
+		fm.Dups += m.edges[i].Dups
+	}
+	if fm.zero() {
+		return nil
+	}
+	return fm
+}
+
+// classOrder lists the class indices in class-name order, the order
+// every export uses.
+func (m *Metrics) classOrder() []int {
+	order := make([]int, len(m.classes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return m.classes[order[i]].class < m.classes[order[j]].class })
+	return order
+}
+
 // Snapshot materializes the current counters. Edges that carried no
 // traffic are included (zero rows), so row i is always edge i.
 func (m *Metrics) Snapshot() *Snapshot {
@@ -270,14 +301,9 @@ func (m *Metrics) Snapshot() *Snapshot {
 		EdgesTotal: m.g.M(),
 		FinishTime: m.finish,
 		Quiesced:   m.quiesced,
+		Faults:     m.faultMetrics(),
 		Edges:      make([]EdgeMetric, m.g.M()),
 		Classes:    make([]ClassMetric, 0, len(m.classes)),
-	}
-	fm := FaultMetrics{
-		Dropped:     m.dropsByReason[sim.DropLoss-1] + m.dropsByReason[sim.DropLinkDown-1],
-		DeadLetters: m.dropsByReason[sim.DropCrash-1],
-		Crashes:     m.crashes,
-		LinkDowns:   m.linkDowns,
 	}
 	for i, ec := range m.edges {
 		e := m.g.Edge(graph.EdgeID(i))
@@ -287,28 +313,125 @@ func (m *Metrics) Snapshot() *Snapshot {
 			Wait: ec.Wait, MaxInFlight: ec.MaxInFlight,
 			Drops: ec.Drops, Retx: ec.Retx, Dups: ec.Dups,
 		}
-		fm.Retx += ec.Retx
-		fm.Dups += ec.Dups
 	}
-	if !fm.zero() {
-		s.Faults = &fm
-	}
-	for _, cs := range m.classes {
+	for _, ci := range m.classOrder() {
+		cs := &m.classes[ci]
 		s.Classes = append(s.Classes, ClassMetric{
 			Class: string(cs.class), Messages: cs.messages, Comm: cs.comm,
 			Delivered: cs.delivered, CommSeries: cs.commPts, DelivSeries: cs.delivPts,
 		})
 	}
-	sort.Slice(s.Classes, func(i, j int) bool { return s.Classes[i].Class < s.Classes[j].Class })
 	return s
 }
 
-// WriteJSON writes the snapshot as indented JSON. Byte-deterministic
-// for a fixed seed: structs and sorted slices only.
+// AppendJSON appends the run's export — the Snapshot schema, indented
+// as json.MarshalIndent(m.Snapshot(), jsonw.Prefix(depth), "  ") writes
+// it, byte for byte — straight from the live counters: no Snapshot is
+// built and nothing is reflected over, so the cost is one pass over
+// the edges and series points. depth is how deep the object sits in an
+// enclosing document (0 for a document of its own). Snapshot with its
+// tags stays the schema; the obs tests hold the two to each other.
+func (m *Metrics) AppendJSON(dst []byte, depth int) []byte {
+	f := depth + 1
+	dst = append(dst, '{')
+	dst = jsonw.Int(dst, f, "nodes", int64(m.g.N()))
+	dst = jsonw.Int(dst, f, "edges_total", int64(m.g.M()))
+	dst = jsonw.Int(dst, f, "finish_time", m.finish)
+	dst = jsonw.Bool(dst, f, "quiesced", m.quiesced)
+	if fm := m.faultMetrics(); fm != nil {
+		b, err := json.MarshalIndent(fm, jsonw.Prefix(f), "  ")
+		if err != nil {
+			panic("obs: encoding fault metrics: " + err.Error()) // integers and slices of integers: cannot fail
+		}
+		dst = jsonw.Raw(dst, f, "faults", b)
+	}
+	dst = jsonw.Open(dst, f, "edges", '[')
+	for i := range m.edges {
+		dst = appendEdge(dst, f+1, i, m.g.Edge(graph.EdgeID(i)), &m.edges[i])
+	}
+	dst = jsonw.Close(dst, f, ']')
+	dst = jsonw.Open(dst, f, "classes", '[')
+	for _, ci := range m.classOrder() {
+		dst = appendClass(dst, f+1, &m.classes[ci])
+	}
+	dst = jsonw.Close(dst, f, ']')
+	dst = jsonw.Close(dst, depth, '}')
+	return dst[:len(dst)-1] // a value, not a member: no trailing comma
+}
+
+// appendEdge appends one EdgeMetric row as an array element at depth.
+//
+//costsense:hotpath
+func appendEdge(dst []byte, depth, id int, e graph.Edge, ec *EdgeCounters) []byte {
+	f := depth + 1
+	dst = jsonw.Elem(dst, depth)
+	dst = jsonw.Int(dst, f, "edge", int64(id))
+	dst = jsonw.Int(dst, f, "u", int64(e.U))
+	dst = jsonw.Int(dst, f, "v", int64(e.V))
+	dst = jsonw.Int(dst, f, "w", e.W)
+	dst = jsonw.Int(dst, f, "messages", ec.Messages)
+	dst = jsonw.Int(dst, f, "comm", ec.Comm)
+	dst = jsonw.Int(dst, f, "busy", ec.Busy)
+	dst = jsonw.Int(dst, f, "wait", ec.Wait)
+	dst = jsonw.Int(dst, f, "max_in_flight", int64(ec.MaxInFlight))
+	dst = jsonw.Int(dst, f, "drops", ec.Drops)
+	dst = jsonw.Int(dst, f, "retx", ec.Retx)
+	dst = jsonw.Int(dst, f, "dups", ec.Dups)
+	dst = jsonw.Close(dst, depth, '}')
+	return dst
+}
+
+// appendClass appends one ClassMetric row — header and both series —
+// as an array element at depth.
+//
+//costsense:hotpath
+func appendClass(dst []byte, depth int, cs *classSeries) []byte {
+	f := depth + 1
+	dst = jsonw.Elem(dst, depth)
+	dst = jsonw.String(dst, f, "class", string(cs.class))
+	dst = jsonw.Int(dst, f, "messages", cs.messages)
+	dst = jsonw.Int(dst, f, "comm", cs.comm)
+	dst = jsonw.Int(dst, f, "delivered", cs.delivered)
+	dst = appendSeries(dst, f, "comm_series", cs.commPts)
+	dst = appendSeries(dst, f, "deliveries_series", cs.delivPts)
+	dst = jsonw.Close(dst, depth, '}')
+	return dst
+}
+
+// appendSeries appends a []Point member at depth: null for a nil
+// series, as encoding/json writes a nil slice.
+//
+//costsense:hotpath
+func appendSeries(dst []byte, depth int, name string, pts []Point) []byte {
+	if pts == nil {
+		dst = jsonw.Null(dst, depth, name)
+		return dst
+	}
+	dst = jsonw.Open(dst, depth, name, '[')
+	for _, p := range pts {
+		dst = jsonw.Elem(dst, depth+1)
+		dst = jsonw.Int(dst, depth+2, "t", p.T)
+		dst = jsonw.Int(dst, depth+2, "v", p.V)
+		dst = jsonw.Close(dst, depth+1, '}')
+	}
+	dst = jsonw.Close(dst, depth, ']')
+	return dst
+}
+
+// WriteJSON writes the export as an indented JSON document of its own
+// (AppendJSON at depth 0, newline-terminated). Byte-deterministic for a
+// fixed seed.
 func (m *Metrics) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m.Snapshot())
+	// Sized up front — a few hundred bytes an edge row, a few dozen a
+	// point — because growing a multi-MB slice by appending copies it a
+	// dozen times over.
+	points := 0
+	for i := range m.classes {
+		points += len(m.classes[i].commPts) + len(m.classes[i].delivPts)
+	}
+	buf := make([]byte, 0, 256*len(m.edges)+64*points+1024)
+	_, err := w.Write(append(m.AppendJSON(buf, 0), '\n'))
+	return err
 }
 
 // WriteEdgeCSV writes one CSV row per edge, in edge-ID order.

@@ -211,21 +211,40 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Result fetches a finished job's result bytes.
+// ErrResultEvicted is Client.Result's error for a done job whose result
+// body the server's retention budget has dropped (410 Gone). A result
+// is a pure function of its spec, so the remedy is to submit the spec
+// again.
+var ErrResultEvicted = errors.New("serve client: result evicted by the server's result budget; resubmit the spec to recompute it")
+
+// maxResultBytes caps what Client.Result reads of one body.
+const maxResultBytes = 64 << 20
+
+// Result fetches a finished job's result bytes. The server announces
+// the body's length, so the read lands in one buffer of that size.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	resp, err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+id+"/result", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close() //costsense:err-ok response fully read below; a close error has nothing left to corrupt
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	var b []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxResultBytes {
+		b = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, b)
+	} else {
+		b, err = io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve client: reading result of %s: %w", id, err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve client: result status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return b, nil
+	case http.StatusGone:
+		return nil, fmt.Errorf("job %s: %w", id, ErrResultEvicted)
 	}
-	return b, nil
+	return nil, fmt.Errorf("serve client: result status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
 }
 
 // terminalState reports whether a streamed status line ends the job.

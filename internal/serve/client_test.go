@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -178,5 +180,55 @@ func TestClientRunReportsTypedFailure(t *testing.T) {
 	}
 	if st.State != "failed" || st.Reason != ReasonDeadline || res != nil {
 		t.Fatalf("state=%s reason=%s res=%v, want failed/deadline/nil", st.State, st.Reason, res)
+	}
+}
+
+// TestClientResultReadsDeclaredLength: the server declares the result's
+// length and Client.Result returns exactly those bytes; a server that
+// declares none (a chunked body) still works, a 410 maps to
+// ErrResultEvicted, and a body cut short of its declared length is an
+// error, not a truncated result.
+func TestClientResultReadsDeclaredLength(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	id := runToDone(t, s, ts, validSpec())
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(want)) || len(want) == 0 {
+		t.Fatalf("Content-Length %d for a %d B result", resp.ContentLength, len(want))
+	}
+	got, err := testClient(ts.URL).Result(context.Background(), id)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Client.Result: %v, equal %v", err, bytes.Equal(got, want))
+	}
+
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/api/v1/jobs/chunked/result":
+			w.(http.Flusher).Flush() // headers go out before the length is known
+			w.Write(want)
+		case "/api/v1/jobs/gone/result":
+			writeError(w, http.StatusGone, "result evicted")
+		case "/api/v1/jobs/short/result":
+			w.Header().Set("Content-Length", strconv.Itoa(len(want)))
+			w.Write(want[:len(want)/2])
+		}
+	}))
+	defer stub.Close()
+	c := &Client{Base: stub.URL, MaxAttempts: 1}
+	if got, err := c.Result(context.Background(), "chunked"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("chunked result: %v, equal %v", err, bytes.Equal(got, want))
+	}
+	if _, err := c.Result(context.Background(), "gone"); !errors.Is(err, ErrResultEvicted) {
+		t.Fatalf("410: %v, want ErrResultEvicted", err)
+	}
+	if got, err := c.Result(context.Background(), "short"); err == nil {
+		t.Fatalf("short body returned %d B and no error", len(got))
 	}
 }

@@ -171,6 +171,12 @@ func (s *Server) renderMetrics(b *bytes.Buffer, now int64) {
 	writeScalar(b, "costsense_cache_entries", "Substrates currently cached.", "gauge", int64(cs.Entries))
 	writeScalar(b, "costsense_cache_bytes", "Estimated bytes held by cached substrates.", "gauge", cs.Bytes)
 	writeScalar(b, "costsense_cache_max_bytes", "Substrate cache byte budget.", "gauge", cs.MaxBytes)
+
+	s.mu.Lock()
+	retained, evicted := s.retainedBytes, s.evictedTotal
+	s.mu.Unlock()
+	writeScalar(b, "costsense_results_retained_bytes", "Result bodies held by the job table.", "gauge", retained)
+	writeScalar(b, "costsense_results_evicted_total", "Result bodies dropped by the result byte budget (GET answers 410).", "counter", evicted)
 }
 
 // MetricsHandler returns the Prometheus text-format exposition handler

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // newUnstartedFrontend serves a Server whose scheduler loop was never
@@ -139,7 +138,7 @@ func TestMetricsBackpressure(t *testing.T) {
 // while the scheduler mutates job atomics and the stream handler reads
 // them.
 func TestMetricsScrapeDuringStream(t *testing.T) {
-	s, ts := testServer(t, Config{StreamInterval: 2 * time.Millisecond})
+	s, ts := testServer(t, Config{})
 	spec := validSpec()
 	spec.Trials = 256
 	_, out, _ := postSpec(t, ts, spec)

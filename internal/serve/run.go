@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"costsense/internal/connect"
 	"costsense/internal/graph"
 	"costsense/internal/harness"
+	"costsense/internal/jsonw"
 	"costsense/internal/mst"
 	"costsense/internal/obs"
 	"costsense/internal/reliable"
@@ -69,6 +69,11 @@ type Aggregate struct {
 // aggregate, and the full obs metrics export of trial 0. It is a pure
 // function of the spec — resubmitting a spec returns byte-identical
 // bytes whether or not the substrate was cached.
+//
+// Result and the row types above are the wire schema, what clients
+// decode into, and the oracle: the server itself writes the document
+// with appendResult, whose bytes the tests (and the benchmark's
+// replica) hold equal to json.MarshalIndent of this struct.
 type Result struct {
 	Spec      Spec            `json:"spec"`
 	Substrate SubstrateInfo   `json:"substrate"`
@@ -176,17 +181,130 @@ func newTrialRow(trial int, seed int64, g *graph.Graph, st *sim.Stats) TrialRow 
 	return row
 }
 
+// appendTrialRow appends one TrialRow as an array element at depth.
+//
+//costsense:hotpath
+func appendTrialRow(dst []byte, depth int, r *TrialRow) []byte {
+	f := depth + 1
+	dst = jsonw.Elem(dst, depth)
+	dst = jsonw.Int(dst, f, "trial", int64(r.Trial))
+	dst = jsonw.Int(dst, f, "seed", r.Seed)
+	dst = jsonw.Int(dst, f, "messages", r.Messages)
+	dst = jsonw.Int(dst, f, "comm", r.Comm)
+	dst = jsonw.Int(dst, f, "time", r.Time)
+	dst = jsonw.Int(dst, f, "events", r.Events)
+	if r.Dropped != 0 {
+		dst = jsonw.Int(dst, f, "dropped", r.Dropped)
+	}
+	if r.Duplicated != 0 {
+		dst = jsonw.Int(dst, f, "duplicated", r.Duplicated)
+	}
+	if r.DeadLetters != 0 {
+		dst = jsonw.Int(dst, f, "dead_letters", r.DeadLetters)
+	}
+	if r.Timers != 0 {
+		dst = jsonw.Int(dst, f, "timers", r.Timers)
+	}
+	dst = jsonw.Int(dst, f, "used_weight", r.UsedWeight)
+	dst = jsonw.Bool(dst, f, "spans", r.Spans)
+	if r.ByClass == nil {
+		dst = jsonw.Null(dst, f, "by_class")
+	} else {
+		dst = jsonw.Open(dst, f, "by_class", '[')
+		for i := range r.ByClass {
+			dst = appendClassRow(dst, f+1, &r.ByClass[i])
+		}
+		dst = jsonw.Close(dst, f, ']')
+	}
+	dst = jsonw.Close(dst, depth, '}')
+	return dst
+}
+
+// appendClassRow appends one ClassRow as an array element at depth.
+//
+//costsense:hotpath
+func appendClassRow(dst []byte, depth int, c *ClassRow) []byte {
+	dst = jsonw.Elem(dst, depth)
+	dst = jsonw.String(dst, depth+1, "class", c.Class)
+	dst = jsonw.Int(dst, depth+1, "messages", c.Messages)
+	dst = jsonw.Int(dst, depth+1, "comm", c.Comm)
+	dst = jsonw.Close(dst, depth, '}')
+	return dst
+}
+
+// appendResult appends the result document — byte for byte what
+// json.MarshalIndent(Result{...}, "", "  ") writes for the same parts
+// with metrics' export as Result.Metrics — in one pass: the three small
+// headers go through encoding/json, the trial rows and the metrics
+// export (where the bytes are) through the direct appenders.
+func appendResult(dst []byte, spec Spec, sub SubstrateInfo, agg Aggregate, rows []TrialRow, metrics *obs.Metrics) ([]byte, error) {
+	dst = append(dst, '{')
+	for _, h := range []struct {
+		name string
+		v    any
+	}{{"spec", spec}, {"substrate", sub}, {"aggregate", agg}} {
+		b, err := json.MarshalIndent(h.v, jsonw.Prefix(1), "  ")
+		if err != nil {
+			return nil, fmt.Errorf("serve: encoding result %s: %w", h.name, err)
+		}
+		dst = jsonw.Raw(dst, 1, h.name, b)
+	}
+	if rows == nil {
+		dst = jsonw.Null(dst, 1, "trials")
+	} else {
+		dst = jsonw.Open(dst, 1, "trials", '[')
+		for i := range rows {
+			dst = appendTrialRow(dst, 2, &rows[i])
+		}
+		dst = jsonw.Close(dst, 1, ']')
+	}
+	dst = jsonw.Key(dst, 1, "metrics")
+	dst = metrics.AppendJSON(dst, 1)
+	return append(dst, "\n}"...), nil
+}
+
 // runSpec executes a normalized spec's sweep on a cached substrate and
-// assembles its Result. Trials fan out on the harness worker pool;
-// each worker owns a sim.Pool so consecutive trials on that worker
-// reuse one network allocation (the Reset golden contract keeps the
-// results byte-identical to fresh networks). Trial 0 additionally
-// carries the obs metrics observer, whose JSON export is embedded in
-// the result.
+// appends its result document to dst.
+func runSpec(ctx context.Context, spec Spec, sub *Substrate, sink harness.Sink, dst []byte) ([]byte, error) {
+	rows, metrics, err := runSweep(ctx, spec, sub, sink)
+	if err != nil {
+		return nil, err
+	}
+	return appendResult(dst, spec, sub.info(), aggregate(rows), rows, metrics)
+}
+
+// info identifies the substrate in a result.
+func (s *Substrate) info() SubstrateInfo {
+	return SubstrateInfo{
+		Key: s.key, N: s.g.N(), M: s.g.M(),
+		TotalWeight: s.totalWeight, MSTWeight: s.mstWeight,
+	}
+}
+
+// aggregate reduces the trial rows to the sweep's Aggregate.
+func aggregate(rows []TrialRow) Aggregate {
+	agg := Aggregate{Trials: len(rows), AllSpan: true}
+	for _, r := range rows {
+		agg.SumMessages += r.Messages
+		agg.SumComm += r.Comm
+		agg.SumEvents += r.Events
+		if r.Time > agg.MaxTime {
+			agg.MaxTime = r.Time
+		}
+		agg.AllSpan = agg.AllSpan && r.Spans
+	}
+	return agg
+}
+
+// runSweep runs a normalized spec's trials and returns their rows in
+// index order plus trial 0's metrics observer. Trials fan out on the
+// harness worker pool; each worker owns a sim.Pool so consecutive
+// trials on that worker reuse one network allocation (the Reset golden
+// contract keeps the results byte-identical to fresh networks).
 //
 // Cancelling ctx (a drain deadline at shutdown) aborts the sweep
 // between trials and fails the job with the context error.
-func runSpec(ctx context.Context, spec Spec, sub *Substrate, sink harness.Sink) (*Result, error) {
+func runSweep(ctx context.Context, spec Spec, sub *Substrate, sink harness.Sink) ([]TrialRow, *obs.Metrics, error) {
 	g := sub.Graph()
 	delay := delayModel(spec.Delay)
 	root := graph.NodeID(spec.Root)
@@ -227,32 +345,7 @@ func runSpec(ctx context.Context, spec Spec, sub *Substrate, sink harness.Sink) 
 			return newTrialRow(i, seed, g, st), nil
 		}, sink)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	agg := Aggregate{Trials: len(rows), AllSpan: true}
-	for _, r := range rows {
-		agg.SumMessages += r.Messages
-		agg.SumComm += r.Comm
-		agg.SumEvents += r.Events
-		if r.Time > agg.MaxTime {
-			agg.MaxTime = r.Time
-		}
-		agg.AllSpan = agg.AllSpan && r.Spans
-	}
-
-	var metricsJSON bytes.Buffer
-	if err := metrics.WriteJSON(&metricsJSON); err != nil {
-		return nil, fmt.Errorf("serve: exporting trial-0 metrics: %w", err)
-	}
-	return &Result{
-		Spec: spec,
-		Substrate: SubstrateInfo{
-			Key: sub.Key(), N: g.N(), M: g.M(),
-			TotalWeight: sub.TotalWeight(), MSTWeight: sub.MSTWeight(),
-		},
-		Aggregate: agg,
-		Trials:    rows,
-		Metrics:   json.RawMessage(metricsJSON.Bytes()),
-	}, nil
+	return rows, metrics, nil
 }

@@ -43,8 +43,9 @@ var errJobDeadline = errors.New("serve: job deadline exceeded")
 
 // Job is one admitted experiment submission. Its mutable fields are
 // written by the scheduler goroutine and read by HTTP handlers, hence
-// the atomics; result, errMsg and failReason are published by the
-// atomic state store and by closing finished.
+// the atomics; errMsg and failReason are published by the atomic state
+// store, and result lives under the server's mu (retention may drop it
+// again long after the job is done).
 type Job struct {
 	id        string
 	spec      Spec
@@ -62,10 +63,16 @@ type Job struct {
 	startedAt   atomic.Int64
 	finishedAt  atomic.Int64
 
-	finished   chan struct{} // closed after result/errMsg/failReason are set
-	result     []byte        // final Result JSON (nil if failed)
+	finished   chan struct{} // closed, under pmu, with the terminal progress line
 	errMsg     string
 	failReason string // typed reason (ReasonError, ReasonDeadline, ...)
+
+	// result is the served body of a done job. Server.mu guards it:
+	// retainResult sets it before the job turns done and may nil it
+	// again when the retention budget evicts it, which resultEvicted
+	// then reports in the status.
+	result        []byte
+	resultEvicted atomic.Bool
 
 	// The progress log: every status line ever emitted for this job,
 	// in order. Streams serve it from any offset (?from=), which is
@@ -138,7 +145,8 @@ func (j *Job) appendProgress() {
 // progressSince returns the log lines at and after offset from, the
 // channel that will signal the next append, and whether the log is
 // complete (the job is terminal and from has reached the end — the
-// terminal line is always appended before finished closes).
+// terminal line lands in the same critical section that closes
+// finished).
 func (j *Job) progressSince(from int) (lines [][]byte, notify <-chan struct{}, done bool) {
 	j.pmu.Lock()
 	defer j.pmu.Unlock()
@@ -174,6 +182,10 @@ type JobStatus struct {
 	// shutdown, killed); present on failed jobs.
 	Reason string `json:"reason,omitempty"`
 	Error  string `json:"error,omitempty"`
+	// ResultEvicted marks a done job whose result body the retention
+	// budget has dropped: GET …/result answers 410, and resubmitting the
+	// spec recomputes the identical bytes.
+	ResultEvicted bool `json:"result_evicted,omitempty"`
 	// Lifecycle timestamps, RFC 3339 with nanoseconds; started_at and
 	// finished_at appear once the job reaches that state. Status-only
 	// scheduling history — the result JSON carries none of these.
@@ -194,12 +206,13 @@ func stampRFC3339(ns int64) string {
 func (j *Job) status() JobStatus {
 	st := j.state.Load()
 	s := JobStatus{
-		ID:          j.id,
-		State:       stateName(st),
-		Experiment:  j.spec.Experiment,
-		TrialsDone:  j.trialsDone.Load(),
-		TrialsTotal: j.spec.Trials,
-		Recovered:   j.recovered,
+		ID:            j.id,
+		State:         stateName(st),
+		Experiment:    j.spec.Experiment,
+		TrialsDone:    j.trialsDone.Load(),
+		TrialsTotal:   j.spec.Trials,
+		Recovered:     j.recovered,
+		ResultEvicted: j.resultEvicted.Load(),
 	}
 	if st == jobRunning || (st >= jobDone && j.startedAt.Load() != 0) {
 		cached := j.cached.Load()
@@ -215,22 +228,33 @@ func (j *Job) status() JobStatus {
 	return s
 }
 
-func (j *Job) complete(result []byte) {
-	j.result = result
-	j.finishedAt.Store(nowUnixNano())
-	j.state.Store(jobDone)
-	j.appendProgress() // terminal line lands before finished closes
-	close(j.finished)
-}
+// complete moves the job to done; its result is already in the job
+// table (Server.retainResult).
+func (j *Job) complete() { j.finish(jobDone) }
 
 // fail moves the job to failed with a typed reason and human detail.
 func (j *Job) fail(reason, msg string) {
 	j.errMsg = msg
 	j.failReason = reason
+	j.finish(jobFailed)
+}
+
+// finish publishes a terminal state. The terminal progress line and
+// the closing of finished are one pmu critical section, so a stream
+// never ends without the terminal line and never shows it before
+// finished is closed; and the state store precedes both, so whoever
+// has seen the job terminal — on a stream or in a status poll — can
+// fetch its result at once (handleResult goes by the state).
+func (j *Job) finish(state int32) {
 	j.finishedAt.Store(nowUnixNano())
-	j.state.Store(jobFailed)
-	j.appendProgress() // terminal line lands before finished closes
+	j.state.Store(state)
+	line := j.statusLine()
+	j.pmu.Lock()
+	j.plines = append(j.plines, line)
 	close(j.finished)
+	close(j.pnotify)
+	j.pnotify = make(chan struct{})
+	j.pmu.Unlock()
 }
 
 // Config tunes a Server.
@@ -240,10 +264,12 @@ type Config struct {
 	QueueCap int
 	// CacheBytes bounds the substrate cache (default 256 MiB).
 	CacheBytes int64
-	// StreamInterval is retained for configs that set it; progress
-	// streams are driven by the job's progress log rather than a
-	// ticker, so it no longer paces emission.
-	StreamInterval time.Duration
+	// ResultBytes bounds the result bodies the job table retains
+	// (default 256 MiB). Past it the oldest-completed results are
+	// dropped — the newest always stays — and answer 410 Gone; a
+	// result is a pure function of its spec, so resubmitting
+	// recomputes the identical bytes.
+	ResultBytes int64
 	// JournalPath, when non-empty, enables the durable job journal:
 	// every job state transition is an fsync'd NDJSON record, and the
 	// next startup on the same path re-enqueues incomplete jobs (see
@@ -292,6 +318,17 @@ type Server struct {
 	order  []string // creation order, for listing
 	nextID int
 
+	// Result retention, under mu: the done jobs still holding a result
+	// body, oldest completion first, and what they add up to.
+	retained      []*Job
+	retainedBytes int64
+	evictedTotal  int64
+
+	// scratch is the result encoder's buffer. Only the scheduler
+	// goroutine (runJob) touches it, so it needs no lock; it grows to the
+	// largest result served and is reused for every job after.
+	scratch []byte
+
 	recoverQ []*Job // journaled incomplete jobs awaiting re-admission, original order
 
 	runCtx    context.Context // cancelled after drain; stops sweeps and streams
@@ -322,8 +359,8 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 16
 	}
-	if cfg.StreamInterval <= 0 {
-		cfg.StreamInterval = 250 * time.Millisecond
+	if cfg.ResultBytes <= 0 {
+		cfg.ResultBytes = 256 << 20
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -354,7 +391,8 @@ func Open(cfg Config) (*Server, error) {
 }
 
 // restore folds the decoded journal into the job table: terminal jobs
-// become immediately-servable history, incomplete ones go on the
+// become immediately-servable history (result bodies within the
+// retention budget, newest kept), incomplete ones go on the
 // re-admission list in original submission order. Runs before the
 // server is published, so plain field writes suffice.
 func (s *Server) restore(rec *Recovery) {
@@ -363,12 +401,11 @@ func (s *Server) restore(rec *Recovery) {
 		j.submittedAt.Store(rj.SubmittedAt)
 		switch {
 		case rj.Done:
-			j.result = rj.Result
+			s.retainResult(j, rj.Result)
 			j.startedAt.Store(rj.StartedAt)
 			j.finishedAt.Store(rj.FinishedAt)
 			j.trialsDone.Store(int64(rj.Spec.Trials))
 			j.state.Store(jobDone)
-			j.plines = append(j.plines, j.statusLine())
 			close(j.finished)
 		case rj.Failed:
 			j.errMsg = rj.Detail
@@ -376,21 +413,45 @@ func (s *Server) restore(rec *Recovery) {
 			j.startedAt.Store(rj.StartedAt)
 			j.finishedAt.Store(rj.FinishedAt)
 			j.state.Store(jobFailed)
-			j.plines = append(j.plines, j.statusLine())
 			close(j.finished)
 		default:
 			j.recovered = true
-			j.plines = append(j.plines, j.statusLine())
 			s.recoverQ = append(s.recoverQ, j)
 		}
 		s.jobs[rj.ID] = j
 		s.order = append(s.order, rj.ID)
+	}
+	// The one line of each restored log, rendered once retention has
+	// settled so it reports result_evicted as the status does.
+	for _, id := range s.order {
+		j := s.jobs[id]
+		j.plines = append(j.plines, j.statusLine())
 	}
 	if rec.MaxID > s.nextID {
 		s.nextID = rec.MaxID
 	}
 	if rec.TornTail {
 		s.logEvent("journal torn tail truncated", slog.String("path", s.journal.Path()))
+	}
+}
+
+// retainResult puts a done job's result body in the job table and
+// evicts the oldest-completed bodies until the table is back inside
+// cfg.ResultBytes. The newest is kept whatever its size, so a client
+// that fetches when it sees the job done never meets a 410. The caller
+// holds mu (or, in restore, is the only goroutine).
+func (s *Server) retainResult(j *Job, body []byte) {
+	j.result = body
+	s.retained = append(s.retained, j)
+	s.retainedBytes += int64(len(body))
+	for s.retainedBytes > s.cfg.ResultBytes && len(s.retained) > 1 {
+		old := s.retained[0]
+		s.retained[0] = nil
+		s.retained = s.retained[1:]
+		s.retainedBytes -= int64(len(old.result))
+		old.result = nil
+		old.resultEvicted.Store(true)
+		s.evictedTotal++
 	}
 }
 
@@ -574,7 +635,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		runCtx, cancel = context.WithTimeoutCause(ctx, deadline, errJobDeadline)
 		defer cancel()
 	}
-	res, err := runSpec(runCtx, j.spec, sub, j)
+	buf, err := runSpec(runCtx, j.spec, sub, j, s.scratch[:0])
 	if err != nil {
 		reason, msg := ReasonError, err.Error()
 		switch {
@@ -591,19 +652,21 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.logJobDone(j)
 		return
 	}
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		msg := fmt.Sprintf("encoding result: %v", err)
-		s.journalAppend(journalRecord{Op: opFailed, Job: j.id, Reason: ReasonError, Detail: msg}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
-		j.fail(ReasonError, msg)
-		s.logJobDone(j)
-		return
-	}
-	resultBytes := append(b, '\n')
+	buf = append(buf, '\n')
+	s.scratch = buf // keep what the encoder grew for the next job
+	// The one copy of the result path: the scratch buffer's bytes into a
+	// slice of exactly their size, which the job table then owns.
+	body := make([]byte, len(buf))
+	copy(body, buf)
 	// Journal before publishing: once a client can observe "done", the
 	// record that reproduces it on restart is already durable.
-	s.journalAppend(journalRecord{Op: opFinished, Job: j.id, Result: string(resultBytes)}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
-	j.complete(resultBytes)
+	if s.journal != nil { // the record takes a string, and that conversion copies the whole body
+		s.journalAppend(journalRecord{Op: opFinished, Job: j.id, Result: string(buf)}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
+	}
+	s.mu.Lock()
+	s.retainResult(j, body)
+	s.mu.Unlock()
+	j.complete()
 	s.logJobDone(j)
 }
 
@@ -813,25 +876,34 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	select {
-	case <-j.finished:
+	// By the state, not by finished: the state turns terminal first, so
+	// whoever has seen "done" anywhere can fetch at once.
+	switch st := j.state.Load(); st {
+	case jobDone:
+	case jobFailed:
+		writeError(w, http.StatusInternalServerError, "job failed: %s", j.errMsg)
+		return
 	default:
-		writeError(w, http.StatusConflict, "job is %s; result not ready", stateName(j.state.Load()))
+		writeError(w, http.StatusConflict, "job is %s; result not ready", stateName(st))
 		return
 	}
-	if j.state.Load() == jobFailed {
-		writeError(w, http.StatusInternalServerError, "job failed: %s", j.errMsg)
+	s.mu.Lock()
+	body := j.result // eviction only drops the table's reference; this one keeps the bytes for the write
+	s.mu.Unlock()
+	if body == nil {
+		writeError(w, http.StatusGone, "result evicted by the server's result budget; resubmit the spec to recompute the identical bytes")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	//costsense:err-ok a short write means the client hung up; the result stays cached for the next GET
-	w.Write(j.result)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	//costsense:err-ok a short write means the client hung up; the result stays in the table for the next GET
+	w.Write(body)
 }
 
 // handleStream serves the job's progress log as NDJSON: every line
 // already in the log, then new lines as they land, until the terminal
-// line (always the log's last — complete/fail append it before
-// closing finished). ?from=N skips the first N lines, which is how a
+// line (always the log's last — finish appends it as it closes
+// finished). ?from=N skips the first N lines, which is how a
 // client resumes after a disconnect or a server restart without
 // replaying history it already has; if the job is terminal and the
 // (re-grown) log is shorter than N, one fresh terminal status line is

@@ -233,7 +233,7 @@ func TestSubmitBackpressureAndValidation(t *testing.T) {
 
 // The NDJSON stream terminates with the job's terminal status.
 func TestStream(t *testing.T) {
-	s, ts := testServer(t, Config{StreamInterval: 20 * time.Millisecond})
+	s, ts := testServer(t, Config{})
 	spec := validSpec()
 	spec.Trials = 8
 	_, out, _ := postSpec(t, ts, spec)
@@ -275,7 +275,7 @@ func TestStream(t *testing.T) {
 // the scheduler-goroutine/handler hand-off on the Job's atomics and
 // the runCtx/finished shutdown ordering in handleStream.
 func TestDrainWhileStreaming(t *testing.T) {
-	s := New(Config{StreamInterval: 2 * time.Millisecond})
+	s := New(Config{})
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -13,8 +13,12 @@
 #   4. the progress stream terminates with the job's terminal status;
 #   5. the /metrics exposition reports the finished jobs, populated
 #      latency histograms and the cache counters;
-#   6. a spec overflowing the queue is bounced with 429 + Retry-After;
-#   7. SIGTERM drains and exits 0.
+#   6. under -results-mb 1 the second ~0.9 MB result pushes the first
+#      out of the job table: it answers 410 Gone, says result_evicted
+#      in its status and counts on /metrics, while the newest is
+#      served — and (3) is the remedy the 410 names, a resubmission;
+#   7. a spec overflowing the queue is bounced with 429 + Retry-After;
+#   8. SIGTERM drains and exits 0.
 #
 # Runs locally and in CI's serve-smoke job:
 #
@@ -43,7 +47,7 @@ echo "== build (race)"
 go build -race -o "$TMP/costsense" ./cmd/costsense
 
 echo "== start server"
-"$TMP/costsense" serve -addr "$ADDR" -queue 2 -drain 60s >"$TMP/server.log" 2>&1 &
+"$TMP/costsense" serve -addr "$ADDR" -queue 2 -results-mb 1 -drain 60s >"$TMP/server.log" 2>&1 &
 SERVER_PID=$!
 
 # Wait for the listener.
@@ -88,6 +92,8 @@ echo "== submit job twice (cache miss, then hit)"
 ID1="$(submit)"
 [ -n "$ID1" ] || fail "first submission returned no job id"
 wait_done "$ID1"
+# Fetched while it is the newest result: the 1 MiB window always keeps that one.
+curl -sf "$BASE/api/v1/jobs/$ID1/result" >"$TMP/result1.json" || fail "first result not served"
 ID2="$(submit)"
 [ -n "$ID2" ] || fail "second submission returned no job id"
 wait_done "$ID2"
@@ -101,13 +107,28 @@ HITS="$(curl -sf "$BASE/api/v1/cache" | sed -n 's/.*"hits": \([0-9]*\).*/\1/p')"
 [ "${HITS:-0}" -ge 1 ] || fail "cache reports no hits"
 
 echo "== assert byte-identical results"
-curl -sf "$BASE/api/v1/jobs/$ID1/result" >"$TMP/result1.json"
-curl -sf "$BASE/api/v1/jobs/$ID2/result" >"$TMP/result2.json"
+curl -sf "$BASE/api/v1/jobs/$ID2/result" >"$TMP/result2.json" || fail "second result not served"
 cmp "$TMP/result1.json" "$TMP/result2.json" ||
 	fail "results differ between cache miss and cache hit"
 grep -q substrate_cached "$TMP/result1.json" &&
 	fail "cache-hit flag leaked into the result payload"
 grep -q '"trials": 6' "$TMP/result1.json" || fail "result does not echo the spec"
+
+echo "== retention: the second result pushed the first out of the 1 MiB window"
+[ "$(($(wc -c <"$TMP/result1.json") + $(wc -c <"$TMP/result2.json")))" -gt 1048576 ] ||
+	fail "two results fit in 1 MiB; the eviction checks below would prove nothing"
+CODE="$(curl -s -o "$TMP/410.json" -w '%{http_code}' "$BASE/api/v1/jobs/$ID1/result")"
+[ "$CODE" = "410" ] || fail "expected 410 for a result pushed out of the window, got $CODE"
+grep -q resubmit "$TMP/410.json" || fail "410 body does not name the remedy: $(cat "$TMP/410.json")"
+curl -sf "$BASE/api/v1/jobs/$ID1" | grep -q '"result_evicted": true' ||
+	fail "evicted job's status lacks result_evicted"
+curl -sf "$BASE/api/v1/jobs/$ID2" | grep -q result_evicted &&
+	fail "the newest job reports result_evicted"
+curl -sf "$BASE/metrics" >"$TMP/metrics.txt"
+[ "$(sed -n 's/^costsense_results_evicted_total //p' "$TMP/metrics.txt")" = "1" ] ||
+	fail "/metrics does not count exactly one evicted result"
+[ "$(sed -n 's/^costsense_results_retained_bytes //p' "$TMP/metrics.txt")" = "$(wc -c <"$TMP/result2.json" | tr -d ' ')" ] ||
+	fail "/metrics does not retain exactly the newest result"
 
 echo "== stream a third job"
 ID3="$(submit)"
