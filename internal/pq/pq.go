@@ -1,8 +1,14 @@
 // Package pq provides a concrete generic d-ary min-heap shared by the
-// discrete-event simulator and the centralized graph algorithms
-// (Dijkstra, Prim).
+// centralized graph algorithms (Dijkstra, Prim) and the sharded
+// simulator engine's per-shard event queues. The serial engine's queue
+// is not this heap: its pushes are always later than the event being
+// delivered, and internal/sim's eventQueue is built on that. A shard's
+// queue has no such guarantee — mail from other shards arrives between
+// windows at times below the shard's own next event, and the window
+// loop reads the minimum with Peek before deciding to pop it — so it
+// keeps the general heap.
 //
-// It replaces container/heap in the hot paths: container/heap moves
+// It replaces container/heap in those paths: container/heap moves
 // elements through `any`, which boxes every Push argument (one
 // allocation per scheduled event) and dispatches every comparison and
 // swap through an interface. Heap[T] stores elements in a plain []T,

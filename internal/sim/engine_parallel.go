@@ -139,8 +139,8 @@ type shard struct {
 }
 
 // shardNodeCtx is the Context/TimerContext the sharded engine hands to
-// processes: the vertex's engine-owned local state (push sequence and
-// RNG stream — the exact counterparts of nodeCtx's) plus its owning
+// processes: the vertex's engine-owned local state (its own push
+// sequence and the RNG stream it shares with nodeCtx) plus its owning
 // shard. The serial engine keeps its own leaner nodeCtx; the two must
 // evolve identical per-node state for byte-identical runs.
 type shardNodeCtx struct {
@@ -177,13 +177,10 @@ func (c *shardNodeCtx) Record(key string, value int64) {
 // ScheduleTimer mirrors nodeCtx.ScheduleTimer on shard-local state.
 // Timers always stay on the sender's own shard.
 func (c *shardNodeCtx) ScheduleTimer(delay int64, m Message) {
-	if delay < 1 {
-		delay = 1
-	}
 	s := c.sh
 	c.seq++
 	slot := s.allocSlot(m, s.curCause)
-	s.queue.Push(event{at: s.now + delay, seq: c.seq, to: int32(c.id), from: int32(c.id), msgIdx: slot, flags: flagTimer})
+	s.queue.Push(event{at: s.now + max(delay, 1), seq: c.seq, to: int32(c.id), from: int32(c.id), msgIdx: slot, flags: flagTimer})
 	s.stats.Timers++
 }
 
@@ -287,12 +284,7 @@ func (s *shard) send(nc *shardNodeCtx, to graph.NodeID, m Message, cl Class) {
 // of the destination's shard.
 func (s *shard) schedule(h *halfEdge, nc *shardNodeCtx, to graph.NodeID, m Message, cl Class, flags uint8) {
 	n := s.net
-	var d int64
-	if n.delayIsMax {
-		d = h.w
-	} else {
-		d = n.delay.Delay(n.g.Edge(h.eid), nc.rng)
-	}
+	d := n.delayOn(h, nc.rng)
 	last := n.lastArrive[h.did]
 	var at int64
 	if n.congested {
@@ -496,12 +488,9 @@ func (n *Network) runSharded() (*Stats, error) {
 	nv, k := n.g.N(), plan.k
 
 	eng.sctxs = make([]shardNodeCtx, nv)
-	needRng := n.needNodeRNG()
+	n.materializeRNGs()
 	for v := 0; v < nv; v++ {
-		eng.sctxs[v] = shardNodeCtx{id: graph.NodeID(v)}
-		if needRng {
-			eng.sctxs[v].rng = rand.New(rand.NewSource(nodeSeed(n.seed, int32(v))))
-		}
+		eng.sctxs[v] = shardNodeCtx{id: graph.NodeID(v), rng: n.ctxs[v].rng}
 	}
 	eng.shards = make([]*shard, k)
 	for si := 0; si < k; si++ {

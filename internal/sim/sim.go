@@ -13,7 +13,7 @@
 // apart from the protocol's own traffic.
 //
 // The hot path (Send → queue → deliver) is allocation-free per event:
-// events live in a concrete 4-ary min-heap (internal/pq), FIFO link
+// events live in a monotone time-bucketed queue (queue.go), FIFO link
 // state and class accounting are dense slices indexed by directed-edge
 // and interned class IDs, and the neighbor lookup is a precomputed
 // per-node index instead of an adjacency scan. See DESIGN.md,
@@ -31,7 +31,6 @@ import (
 	"sort"
 
 	"costsense/internal/graph"
-	"costsense/internal/pq"
 )
 
 // Message is an opaque protocol payload.
@@ -241,8 +240,8 @@ type TracePoint struct {
 
 // event is one scheduled delivery. It is deliberately pointer-free and
 // 32 bytes: the payload lives in the Network's message arena (indexed
-// by msgIdx) and endpoints are narrowed to int32, so sifting events
-// through the heap moves four plain words with no GC write barriers.
+// by msgIdx) and endpoints are narrowed to int32, so moving events
+// between queue buckets copies four plain words, no GC write barriers.
 // The fault/timer markers share the struct's existing padding byte.
 //
 // seq is the *sender's* per-node push counter (one per transmission
@@ -401,7 +400,7 @@ type Network struct {
 	procs      []Process
 	delay      DelayModel
 	seed       int64 // RNG seed; per-node streams split from it (nodeSeed)
-	queue      pq.Heap[event]
+	queue      eventQueue
 	now        int64
 	sendSeq    int64   // probe sequence: one per OnSend-visible transmission, dense 1..S
 	curCause   int64   // probe seq of the delivery being handled (0 during Init); SendEvent.Cause
@@ -440,7 +439,7 @@ type Network struct {
 //
 // When the option list carries WithPool and the pool holds an idle
 // Network built on the same *graph.Graph, that instance is Reset and
-// returned instead of allocating a new one: its event heap, payload
+// returned instead of allocating a new one: its event queue, payload
 // arena, neighbor index and accounting slices are reused, so a sweep
 // of many runs over one substrate pays the construction cost once.
 func NewNetwork(g *graph.Graph, procs []Process, opts ...Option) (*Network, error) {
@@ -485,16 +484,14 @@ func (n *Network) setDefaults() {
 	n.pool = nil
 }
 
-// initStorage allocates the run-independent heavy state: event heap,
+// initStorage allocates the run-independent heavy state: event queue,
 // payload arena, neighbor index, accounting slices and per-node
 // contexts. Runs once per Network; Reset reuses all of it.
 func (n *Network) initStorage() {
 	g := n.g
 	n.lastArrive = make([]int64, 2*g.M())
 	n.traces = make(map[string][]TracePoint)
-	// Pre-size the queue and payload arena for the common regime of a
-	// few in-flight messages per edge; both still grow on demand.
-	n.queue = *pq.NewHeap[event](2 * g.M())
+	// Pre-sized for a few in-flight messages per edge; grows on demand.
 	n.msgs = make([]Message, 0, 2*g.M())
 	n.msgSeq = make([]int64, 0, 2*g.M())
 	n.stats.UsedEdges = make([]bool, g.M())
@@ -540,7 +537,7 @@ func (n *Network) finalize() error {
 
 // Reset returns the Network to its just-constructed state over the
 // same graph, with fresh processes and options, reusing every
-// allocation the previous run grew: the event heap, the payload arena
+// allocation the previous run grew: the event queue, the payload arena
 // and its free list, the neighbor index, the FIFO floors and the dense
 // accounting slices. A Reset Network runs byte-identically to a
 // freshly built one (pinned by the fresh-vs-reused golden tests).
@@ -563,7 +560,7 @@ func (n *Network) Reset(procs []Process, opts ...Option) error {
 }
 
 // resetRunState clears everything a run mutates while keeping the
-// backing storage: the counters, heap elements, arena payloads (so the
+// backing storage: the counters, queued events, arena payloads (so the
 // GC can reclaim them), FIFO floors, accounting, and fault marks.
 func (n *Network) resetRunState() {
 	n.queue.Reset()
@@ -588,7 +585,6 @@ func (n *Network) resetRunState() {
 	n.traces = make(map[string][]TracePoint)
 	for v := range n.ctxs {
 		n.ctxs[v].seq = 0
-		n.ctxs[v].rng = nil
 	}
 	if n.fdownMarked {
 		for v := range n.nbr {
@@ -709,9 +705,9 @@ func nodeSeed(seed int64, v int32) int64 {
 // needNodeRNG reports whether any per-event code path of this
 // configuration can draw randomness: a delay model other than the
 // non-drawing DelayMax/DelayUnit, or a fault plan with probabilistic
-// drops or duplicates. When false, no stream is ever touched and
-// materializeRNGs leaves every per-node rng nil, so the default
-// configurations allocate no RNG state at all.
+// drops or duplicates. When false, no stream is ever touched —
+// materializeRNGs neither allocates nor re-seeds one — so the default
+// configurations carry no RNG state at all.
 func (n *Network) needNodeRNG() bool {
 	if n.faults != nil && (n.faults.drop > 0 || n.faults.dup > 0) {
 		return true
@@ -725,16 +721,21 @@ func (n *Network) needNodeRNG() bool {
 	return true
 }
 
-// materializeRNGs builds the per-node RNG streams when the
-// configuration can draw randomness. Cold path: runs once per Run,
-// before any Init. The sharded engine performs the equivalent
-// materialization on its own per-node contexts.
+// materializeRNGs starts the per-node RNG streams, for either engine,
+// when the configuration can draw randomness; a stream kept from an
+// earlier run is re-seeded in place (same draws, no ~5 KB source per
+// node per trial). Cold path: runs once per Run, before any Init.
 func (n *Network) materializeRNGs() {
 	if !n.needNodeRNG() {
 		return
 	}
 	for v := range n.ctxs {
-		n.ctxs[v].rng = rand.New(rand.NewSource(nodeSeed(n.seed, int32(v))))
+		seed := nodeSeed(n.seed, int32(v))
+		if r := n.ctxs[v].rng; r != nil {
+			r.Seed(seed)
+		} else {
+			n.ctxs[v].rng = rand.New(rand.NewSource(seed))
+		}
 	}
 }
 
@@ -749,7 +750,7 @@ type nodeCtx struct {
 	net *Network
 	id  graph.NodeID
 	seq int64      // per-node push counter: transmissions (incl. dropped), duplicates, timers
-	rng *rand.Rand // per-node stream split from the network seed; nil when no draw can happen
+	rng *rand.Rand // per-node stream split from the network seed; nil until a run can draw, then kept across Reset
 }
 
 var _ Context = (*nodeCtx)(nil)
@@ -795,13 +796,10 @@ var _ TimerContext = (*nodeCtx)(nil)
 //
 //costsense:hotpath
 func (c *nodeCtx) ScheduleTimer(delay int64, m Message) {
-	if delay < 1 {
-		delay = 1
-	}
 	n := c.net
 	c.seq++
 	slot := n.allocSlot(m, n.curCause)
-	n.queue.Push(event{at: n.now + delay, seq: c.seq, to: int32(c.id), from: int32(c.id), msgIdx: slot, flags: flagTimer})
+	n.queue.Push(event{at: n.now + max(delay, 1), seq: c.seq, to: int32(c.id), from: int32(c.id), msgIdx: slot, flags: flagTimer})
 	n.stats.Timers++
 }
 
@@ -883,18 +881,30 @@ func (n *Network) send(from, to graph.NodeID, m Message, cl Class) {
 	}
 }
 
+// delayOn picks one transmission's delay on h, for either engine, and
+// enforces the DelayModel contract where the value is consumed: below
+// 1 it would arrive no later than the instant being handled.
+//
+//costsense:hotpath
+func (n *Network) delayOn(h *halfEdge, rng *rand.Rand) int64 {
+	d := h.w
+	if !n.delayIsMax {
+		d = n.delay.Delay(n.g.Edge(h.eid), rng)
+	}
+	if d < 1 {
+		//costsense:alloc-ok cold path: a delay below 1 is a DelayModel bug and panics immediately
+		panic(fmt.Sprintf("sim: delay model %T returned %d on edge %+v; the contract is a delay in [1, w]", n.delay, d, n.g.Edge(h.eid)))
+	}
+	return d
+}
+
 // schedule enqueues one transmission on the resolved half-edge: draw
 // the delay, apply FIFO/congestion ordering, place the payload in the
 // arena and fire the OnSend probe.
 //
 //costsense:hotpath
 func (n *Network) schedule(h *halfEdge, nc *nodeCtx, to graph.NodeID, m Message, cl Class, flags uint8) {
-	var d int64
-	if n.delayIsMax {
-		d = h.w
-	} else {
-		d = n.delay.Delay(n.g.Edge(h.eid), nc.rng)
-	}
+	d := n.delayOn(h, nc.rng)
 	last := n.lastArrive[h.did]
 	var at int64
 	if n.congested {

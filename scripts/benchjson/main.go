@@ -320,7 +320,7 @@ func parse(r io.Reader) (*engineRuns, int, error) {
 		return &r
 	}
 	runs := &engineRuns{
-		flood:       avg(&flood, "shared 4-ary heap + dense accounting (this tree)"),
+		flood:       avg(&flood, "monotone time-bucketed event queue + dense accounting (this tree)"),
 		observed:    avg(&obs, "same engine, full metrics observer attached (BenchmarkEngineObserved)"),
 		causal:      avg(&cau, "same engine, causal observer attached: happens-before DAG + critical path (BenchmarkEngineCausal)"),
 		faulty:      avg(&flt, "same engine, fault plan active: drop 5%, dup 2%, one outage, one crash (BenchmarkEngineFaulty)"),

@@ -3,7 +3,7 @@
 # table EXPERIMENTS.md prints from them.
 #
 #   scripts/servepairs.sh run <parent-checkout> <workload> <first-seed> <pairs> >> BENCH_serve_pairs.ndjson
-#   scripts/servepairs.sh table BENCH_serve_pairs.ndjson
+#   scripts/servepairs.sh table BENCH_serve_pairs.ndjson [<first-seed> <last-seed>]
 #
 # `run` runs `bash bench/run.sh` in a checkout of the parent commit and
 # in this one, pair by pair, the same seed inside a pair and the side
@@ -12,7 +12,9 @@
 # benchmark's JSON verdict, tagged with side, workload and seed.
 # `table` reduces such a file to one markdown row per workload and
 # metric: each side's median and quartiles, the ratio of the medians,
-# and in how many pairs the change was the better of the two.
+# and in how many pairs the change was the better of the two. The file
+# accumulates one batch of pairs per change, each on its own seeds; a
+# seed range picks one batch out.
 set -eu
 
 here="$(cd "$(dirname "$0")/.." && pwd)"
@@ -41,7 +43,7 @@ table)
 			grep "\"workload\":\"$workload\"" "$2" |
 				sed -n "s/.*\"side\":\"\([a-z]*\)\".*\"seed\":\([0-9]*\),.*\"$metric\":{\"value\":\([0-9.e+-]*\).*/\2 \1 \3/p" |
 				sort -k1,1n -k2,2r | # by seed, the parent's run of a pair first
-				awk -v w="$workload" -v m="$metric" '
+				awk -v w="$workload" -v m="$metric" -v lo="${3:-0}" -v hi="${4:-2147483647}" '
 					function sorted(a, n,    i, j, t) {
 						for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
 					}
@@ -49,6 +51,7 @@ table)
 						pos = 1 + (n - 1) * q; lo = int(pos)
 						return lo >= n ? a[n] : a[lo] + (pos - lo) * (a[lo+1] - a[lo])
 					}
+					$1 < lo || $1 > hi { next }
 					$2 == "parent" { p[++np] = $3; last = $3 }
 					$2 == "change" { c[++nc] = $3
 						higher = (m == "jobs_per_s" || m == "events_per_s")
@@ -63,7 +66,7 @@ table)
 	done
 	;;
 *)
-	sed -n '2,15p' "$0" >&2
+	sed -n '2,17p' "$0" >&2
 	exit 2
 	;;
 esac
