@@ -243,15 +243,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 // object it invokes, or nil for builtins, conversions, function values
 // and indirect calls.
 func (p *Pass) CalleeFunc(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := p.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := p.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
+	return calleeFunc(p.Pkg, call)
 }
 
 // IsBuiltinCall reports whether call invokes the named builtin.

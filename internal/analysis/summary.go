@@ -496,16 +496,23 @@ func resolveCalls(pkg *Package, fd *ast.FuncDecl) []*types.Func {
 	return calls
 }
 
-// calleeFunc resolves a call to the function or method object it
-// invokes, without needing a Pass.
+// calleeFunc resolves a call to the function or method it invokes,
+// without needing a Pass. The result is the *declared* object: a method
+// selected through an instantiated generic type (w.work on a
+// *Workers[S]) is a per-instantiation copy, and summaries, annotations
+// and the call graph are all keyed by declaration.
 func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := objOf(pkg, fun).(*types.Func)
-		return fn
+		id = fun
 	case *ast.SelectorExpr:
-		fn, _ := objOf(pkg, fun.Sel).(*types.Func)
-		return fn
+		id = fun.Sel
+	default:
+		return nil
+	}
+	if fn, ok := objOf(pkg, id).(*types.Func); ok {
+		return fn.Origin()
 	}
 	return nil
 }

@@ -109,6 +109,30 @@ type carrier struct {
 	ctx context.Context
 }
 
+// set is a generic carrier: its methods are reached through
+// instantiations (set[T] inside a generic caller), which must resolve
+// to the declarations the summaries are keyed by.
+type set[T any] struct {
+	ctx  context.Context
+	vals chan T
+}
+
+// loop blocks, excused by the receiver's context field.
+func (s *set[T]) loop() {
+	select {
+	case <-s.vals:
+	case <-s.ctx.Done():
+	}
+}
+
+// startSet spawns a method of a generic type by name: tied, because the
+// callee's receiver carries the context.
+func startSet[T any](ctx context.Context) *set[T] {
+	s := &set[T]{ctx: ctx, vals: make(chan T)}
+	go s.loop()
+	return s
+}
+
 // wait blocks, excused by the receiver's context field.
 func (c *carrier) wait(ch chan int) int {
 	select {

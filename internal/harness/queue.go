@@ -17,8 +17,8 @@ var (
 )
 
 // Job is one unit of queued work. It receives the run context the
-// queue's Run loop was started with; a job that fans out trials should
-// pass that context to RunIndexedPooled so a drain deadline can stop
+// Run loop that picked it up was started with; a job that fans out
+// trials should pass that context to RunOn so a drain deadline can stop
 // it between trials.
 type Job func(context.Context)
 
@@ -27,10 +27,11 @@ type Job func(context.Context)
 // from any goroutine and get ErrQueueFull instead of blocking when the
 // bound is hit; recovery re-admission uses the blocking Submit, which
 // waits for space instead (a restart must never drop a journaled job
-// to a full queue). A single Run loop executes jobs in admission
-// order, so each job's trials own the whole worker pool and two jobs
-// never interleave their simulator runs (which keeps per-worker
-// sim.Pool reuse sound).
+// to a full queue). Consumers are Run loops, any number of them: jobs
+// start in admission order, each on whichever loop is free first, so
+// with one loop they run one at a time and with k loops up to k run at
+// once (the experiment server runs GOMAXPROCS of them and hands their
+// trials to one shared Workers set).
 //
 // The jobs channel is never closed — shutdown is signalled through
 // closedCh instead, so a Submit blocked in a channel send can never
@@ -39,7 +40,7 @@ type Queue struct {
 	mu       sync.Mutex
 	jobs     chan Job
 	closed   bool
-	closedCh chan struct{} // closed by Close; wakes blocked Submits and Run
+	closedCh chan struct{} // closed by Close; wakes blocked Submits and Run loops
 }
 
 // NewQueue builds a queue admitting at most capacity pending jobs
@@ -74,7 +75,7 @@ func (q *Queue) TrySubmit(j Job) error {
 // while interactive submissions keep the fail-fast TrySubmit/429 path.
 //
 // A Submit racing Close may still win the send; the job is then either
-// executed by Run's drain pass or left for the caller's shutdown
+// executed by a Run loop's drain pass or left for the caller's shutdown
 // bookkeeping, exactly like a job admitted just before Close.
 func (q *Queue) Submit(ctx context.Context, j Job) error {
 	q.mu.Lock()
@@ -100,7 +101,7 @@ func (q *Queue) Len() int { return len(q.jobs) }
 func (q *Queue) Cap() int { return cap(q.jobs) }
 
 // Close rejects all further submissions. Jobs already admitted still
-// run; once they finish, Run returns. Close is idempotent.
+// run; once they finish, every Run loop returns. Close is idempotent.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -110,11 +111,12 @@ func (q *Queue) Close() {
 	}
 }
 
-// Run executes admitted jobs one at a time, in admission order, until
-// the queue is Closed and drained, or ctx is cancelled — whichever
-// comes first. ctx is also handed to every job, so cancelling it both
-// stops the loop and tells the running job to wind down. Run is the
-// queue's single consumer; call it from exactly one goroutine.
+// Run is one consumer loop: it takes the oldest admitted job, executes
+// it on the calling goroutine and repeats, until the queue is Closed
+// and drained, or ctx is cancelled — whichever comes first. ctx is also
+// handed to every job, so cancelling it both stops the loop and tells
+// the running job to wind down. Run may be called from several
+// goroutines at once; each call is one more job in flight.
 func (q *Queue) Run(ctx context.Context) {
 	for {
 		// Prefer cancellation when both are ready: a drain deadline

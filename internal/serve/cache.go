@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -129,6 +130,7 @@ type Cache struct {
 	bytes     int64
 	ll        *list.List               // front = most recently used
 	items     map[string]*list.Element // key -> element whose Value is *cacheEntry
+	building  map[string]chan struct{} // key -> closed when the build in flight for it ends
 	hits      int64
 	misses    int64
 	evictions int64
@@ -148,7 +150,10 @@ func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
-	return &Cache{maxBytes: maxBytes, ll: list.New(), items: make(map[string]*list.Element)}
+	return &Cache{
+		maxBytes: maxBytes, ll: list.New(),
+		items: make(map[string]*list.Element), building: make(map[string]chan struct{}),
+	}
 }
 
 // GetOrBuild returns the substrate stored under key, building and
@@ -158,21 +163,62 @@ func NewCache(maxBytes int64) *Cache {
 // evicted, so a substrate larger than the whole budget still builds
 // and serves its job — it just won't outlive it in the cache.
 //
-// The build runs under the cache lock: concurrent requests for the
-// same key must not build twice (the whole point of the cache), and
-// the queue's serial job loop means there is no parallelism to lose.
-func (c *Cache) GetOrBuild(key string, build func() *Substrate) (sub *Substrate, hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		sub = el.Value.(*cacheEntry).sub
-		sub.Verify()
-		return sub, true
+// Builds are single-flight per key: of concurrent callers that miss on
+// one key, one builds and the rest wait for it and take the hit. Both
+// build and Verify run outside the cache lock, so jobs on different
+// substrates build side by side. A caller waiting for another's build
+// gives up with ctx's error when ctx is cancelled; if that build
+// panics, its waiters are released and the first of them builds in its
+// place (and meets the same panic in its own job).
+func (c *Cache) GetOrBuild(ctx context.Context, key string, build func() *Substrate) (sub *Substrate, hit bool, err error) {
+	for {
+		c.mu.Lock()
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+			c.hits++
+			sub = el.Value.(*cacheEntry).sub
+			c.mu.Unlock()
+			sub.Verify()
+			return sub, true, nil
+		}
+		built, waiting := c.building[key]
+		if !waiting {
+			built = make(chan struct{})
+			c.building[key] = built
+			c.misses++
+		}
+		c.mu.Unlock()
+		if !waiting {
+			return c.buildAndInsert(key, built, build), false, nil
+		}
+		select {
+		case <-built:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
 	}
-	c.misses++
-	sub = build()
+}
+
+// buildAndInsert runs the one build in flight for key and publishes
+// its outcome; built is closed however build returns, so a panicking
+// build strands no waiter.
+func (c *Cache) buildAndInsert(key string, built chan struct{}, build func() *Substrate) (sub *Substrate) {
+	defer func() {
+		c.mu.Lock()
+		delete(c.building, key)
+		if sub != nil {
+			c.insert(key, sub)
+		}
+		c.mu.Unlock()
+		close(built)
+	}()
+	return build()
+}
+
+// insert stores a freshly built substrate as the most recently used
+// entry and evicts from the cold end until the cache is back inside its
+// byte budget. The caller holds mu.
+func (c *Cache) insert(key string, sub *Substrate) {
 	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, sub: sub})
 	c.bytes += sub.Bytes()
 	for c.bytes > c.maxBytes && c.ll.Len() > 1 {
@@ -183,7 +229,6 @@ func (c *Cache) GetOrBuild(key string, build func() *Substrate) (sub *Substrate,
 		c.bytes -= victim.sub.Bytes()
 		c.evictions++
 	}
-	return sub, false
 }
 
 // Stats snapshots the cache counters.

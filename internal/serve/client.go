@@ -318,6 +318,13 @@ func (c *Client) followOnce(ctx context.Context, id string, from int, w io.Write
 			return st, lines, fmt.Errorf("serve client: bad stream line: %w", err)
 		}
 		if terminalState(st.State) {
+			// Read on to the stream's end — the server closes it right
+			// after the terminal line — so net/http sees EOF and keeps the
+			// connection for the result fetch; a body closed unread costs
+			// the next request a new connection. Bounded: a server that
+			// kept writing would only lose the reuse.
+			//costsense:err-ok the terminal line is in hand; a failed drain costs connection reuse, nothing else
+			io.CopyN(io.Discard, resp.Body, 4<<10)
 			return st, lines, nil
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -230,5 +231,39 @@ func TestClientResultReadsDeclaredLength(t *testing.T) {
 	}
 	if got, err := c.Result(context.Background(), "short"); err == nil {
 		t.Fatalf("short body returned %d B and no error", len(got))
+	}
+}
+
+// TestClientRunReusesOneConnection: Follow reads its stream to the end,
+// so net/http keeps the connection and a client's jobs — submit, stream
+// and result fetch each — all travel on the one it opened first.
+func TestClientRunReusesOneConnection(t *testing.T) {
+	s := New(Config{})
+	s.Start()
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c := &Client{Base: ts.URL, HTTP: &http.Client{Transport: tr}, MaxAttempts: 1}
+	for i := 0; i < 20; i++ {
+		st, body, err := c.Run(context.Background(), seededSpec(int64(i+1)), io.Discard)
+		if err != nil || st.State != "done" || len(body) == 0 {
+			t.Fatalf("run %d: state %q, %d result bytes, err %v", i, st.State, len(body), err)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("20 sequential runs opened %d connections, want 1", n)
 	}
 }

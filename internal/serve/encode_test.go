@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
 	"costsense/internal/graph"
+	"costsense/internal/harness"
 	"costsense/internal/obs"
 	"costsense/internal/sim"
 )
@@ -48,6 +50,15 @@ func requireSameBytes(tb testing.TB, got, want []byte) {
 		len(got), len(want), at, around(got), around(want))
 }
 
+// soloWorkers starts a trial worker set of the server's shape for one
+// test's own sweeps, closed with the test.
+func soloWorkers(tb testing.TB) *harness.Workers[*trialWorker] {
+	tb.Helper()
+	ws := harness.StartWorkers(context.Background(), runtime.GOMAXPROCS(0), func() *trialWorker { return new(trialWorker) })
+	tb.Cleanup(ws.Close)
+	return ws
+}
+
 // sweepParts runs a spec's sweep in-process and returns what the
 // encoder gets.
 func sweepParts(tb testing.TB, spec Spec) (Spec, SubstrateInfo, Aggregate, []TrialRow, *obs.Metrics) {
@@ -56,7 +67,7 @@ func sweepParts(tb testing.TB, spec Spec) (Spec, SubstrateInfo, Aggregate, []Tri
 		tb.Fatal(err)
 	}
 	sub := buildSubstrate(spec.SubstrateKey(), spec.Graph, spec.Shards)
-	rows, metrics, err := runSweep(context.Background(), spec, sub, nil)
+	rows, metrics, err := runSweep(context.Background(), soloWorkers(tb), spec, sub, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -15,9 +15,9 @@ import (
 // queue and the substrate cache, so the two mounts (the API mux's
 // /metrics and the debug mux's /debug/metrics) can never disagree, and
 // the job hot path carries no extra counters. Scrapes are O(jobs),
-// which a single-scheduler service keeps small.
+// which a single-node service keeps small.
 //
-// Wall-clock reads (scrape-time throughput of the in-flight job, log
+// Wall-clock reads (scrape-time throughput of the in-flight jobs, log
 // record timestamps) all go through nowUnixNano, the package's one
 // audited clock choke point, so result bytes stay deterministic.
 
@@ -92,9 +92,9 @@ type jobSnap struct {
 }
 
 // snapshotJobs captures every job's lifecycle fields in admission
-// order, plus the id and progress of the running job, if any (the
-// serial scheduler runs at most one).
-func (s *Server) snapshotJobs() (snaps []jobSnap, runningID string) {
+// order, plus the ids of the running jobs (at most one per runner), in
+// the same order.
+func (s *Server) snapshotJobs() (snaps []jobSnap, running []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snaps = make([]jobSnap, 0, len(s.order))
@@ -109,14 +109,14 @@ func (s *Server) snapshotJobs() (snaps []jobSnap, runningID string) {
 			trials:    j.trialsDone.Load(),
 		})
 		if st == jobRunning {
-			runningID = id
+			running = append(running, id)
 		}
 	}
-	return snaps, runningID
+	return snaps, running
 }
 
 // renderMetrics writes the full exposition for the current state; now
-// is a nowUnixNano reading used only for the in-flight job's gauges.
+// is a nowUnixNano reading used only for the in-flight jobs' gauge.
 func (s *Server) renderMetrics(b *bytes.Buffer, now int64) {
 	snaps, _ := s.snapshotJobs()
 
@@ -140,7 +140,7 @@ func (s *Server) renderMetrics(b *bytes.Buffer, now int64) {
 			}
 		}
 		if j.state == jobRunning && now > j.started && j.started > 0 {
-			inflightRate = float64(j.trials) / (float64(now-j.started) / 1e9)
+			inflightRate += float64(j.trials) / (float64(now-j.started) / 1e9)
 		}
 	}
 
@@ -161,7 +161,7 @@ func (s *Server) renderMetrics(b *bytes.Buffer, now int64) {
 	writeHisto(b, "costsense_job_queue_wait_seconds", "Time jobs spent queued before starting.", queueWait)
 	writeHisto(b, "costsense_job_duration_seconds", "Time jobs spent running (start to finish).", duration)
 	writeHisto(b, "costsense_job_trials_per_second", "Per-job trial throughput of finished jobs.", throughput)
-	writeHeader(b, "costsense_inflight_trials_per_second", "Trial throughput of the running job, 0 when idle.", "gauge")
+	writeHeader(b, "costsense_inflight_trials_per_second", "Trial throughput summed over the running jobs, 0 when idle.", "gauge")
 	b.WriteString("costsense_inflight_trials_per_second " + fmtFloat(inflightRate) + "\n")
 
 	cs := s.cache.Stats()

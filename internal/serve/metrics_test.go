@@ -203,7 +203,7 @@ func TestMetricsScrapeDuringStream(t *testing.T) {
 }
 
 // TestHealthzFields: the health endpoint carries the queue and cache
-// gauges, and names the running job only while one is in flight.
+// gauges, and names the running jobs only while some are in flight.
 func TestHealthzFields(t *testing.T) {
 	s := New(Config{QueueCap: 4})
 	ts := newUnstartedFrontend(t, s)
@@ -222,8 +222,8 @@ func TestHealthzFields(t *testing.T) {
 	if _, ok := h["cache_bytes"]; !ok {
 		t.Error("healthz missing cache_bytes")
 	}
-	if _, ok := h["running_job"]; ok {
-		t.Error("healthz names a running job with no scheduler started")
+	if _, ok := h["running_jobs"]; ok {
+		t.Error("healthz names running jobs with no scheduler started")
 	}
 }
 

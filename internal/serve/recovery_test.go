@@ -366,11 +366,11 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	primeID := out["id"].(string)
 	waitDone(t, s, primeID)
-	sub, hit := s.Cache().GetOrBuild(spec.SubstrateKey(), func() *Substrate {
+	sub, hit, err := s.Cache().GetOrBuild(context.Background(), spec.SubstrateKey(), func() *Substrate {
 		t.Fatal("substrate should already be cached")
 		return nil
 	})
-	if !hit {
+	if err != nil || !hit {
 		t.Fatal("priming job did not cache the substrate")
 	}
 	sub.Graph().Edges()[0].W++ // poison it (Edges returns the live slice)

@@ -263,10 +263,10 @@ func appendResult(dst []byte, spec Spec, sub SubstrateInfo, agg Aggregate, rows 
 	return append(dst, "\n}"...), nil
 }
 
-// runSpec executes a normalized spec's sweep on a cached substrate and
-// appends its result document to dst.
-func runSpec(ctx context.Context, spec Spec, sub *Substrate, sink harness.Sink, dst []byte) ([]byte, error) {
-	rows, metrics, err := runSweep(ctx, spec, sub, sink)
+// runSpec executes a normalized spec's sweep on a cached substrate,
+// its trials on ws, and appends its result document to dst.
+func runSpec(ctx context.Context, ws *harness.Workers[*trialWorker], spec Spec, sub *Substrate, sink harness.Sink, dst []byte) ([]byte, error) {
+	rows, metrics, err := runSweep(ctx, ws, spec, sub, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -296,15 +296,35 @@ func aggregate(rows []TrialRow) Aggregate {
 	return agg
 }
 
-// runSweep runs a normalized spec's trials and returns their rows in
-// index order plus trial 0's metrics observer. Trials fan out on the
-// harness worker pool; each worker owns a sim.Pool so consecutive
-// trials on that worker reuse one network allocation (the Reset golden
-// contract keeps the results byte-identical to fresh networks).
+// trialWorker is the state one trial worker owns: a sim.Pool bound to
+// the graph of the substrate the worker served last. Consecutive trials
+// on one substrate — of one sweep, or of successive jobs — reuse one
+// network allocation (the Reset golden contract keeps the results
+// byte-identical to fresh networks); the first trial on a different
+// substrate replaces the pool, so a stream of one-shot substrates pins
+// at most one dead network set per worker.
+type trialWorker struct {
+	g    *graph.Graph
+	pool *sim.Pool
+}
+
+// poolFor returns the worker's pool for g, dropping the one bound to
+// any other graph.
+func (w *trialWorker) poolFor(g *graph.Graph) *sim.Pool {
+	if w.g != g {
+		w.g, w.pool = g, sim.NewPool(2)
+	}
+	return w.pool
+}
+
+// runSweep runs a normalized spec's trials on ws, beside whatever other
+// sweeps it is serving, and returns their rows in index order plus
+// trial 0's metrics observer.
 //
-// Cancelling ctx (a drain deadline at shutdown) aborts the sweep
-// between trials and fails the job with the context error.
-func runSweep(ctx context.Context, spec Spec, sub *Substrate, sink harness.Sink) ([]TrialRow, *obs.Metrics, error) {
+// Cancelling ctx (the job's deadline, or a drain deadline at shutdown)
+// aborts the sweep between trials and fails the job with the context
+// error.
+func runSweep(ctx context.Context, ws *harness.Workers[*trialWorker], spec Spec, sub *Substrate, sink harness.Sink) ([]TrialRow, *obs.Metrics, error) {
 	g := sub.Graph()
 	delay := delayModel(spec.Delay)
 	root := graph.NodeID(spec.Root)
@@ -318,12 +338,11 @@ func runSweep(ctx context.Context, spec Spec, sub *Substrate, sink harness.Sink)
 	}
 
 	metrics := obs.NewMetrics(g)
-	rows, err := harness.RunIndexedPooled(ctx, spec.Trials,
-		func() *sim.Pool { return sim.NewPool(2) },
-		func(_ context.Context, pool *sim.Pool, i int) (TrialRow, error) {
+	rows, err := harness.RunOn(ctx, ws, spec.Trials,
+		func(_ context.Context, w *trialWorker, i int) (TrialRow, error) {
 			seed := spec.Seed + int64(i)
 			opts := []sim.Option{
-				sim.WithDelay(delay), sim.WithSeed(seed), sim.WithPool(pool),
+				sim.WithDelay(delay), sim.WithSeed(seed), sim.WithPool(w.poolFor(g)),
 			}
 			if spec.EventLimit > 0 {
 				opts = append(opts, sim.WithEventLimit(spec.EventLimit))

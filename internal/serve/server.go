@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,7 @@ func stateName(s int32) string {
 var errJobDeadline = errors.New("serve: job deadline exceeded")
 
 // Job is one admitted experiment submission. Its mutable fields are
-// written by the scheduler goroutine and read by HTTP handlers, hence
+// written by the job's runner goroutine and read by HTTP handlers, hence
 // the atomics; errMsg and failReason are published by the atomic state
 // store, and result lives under the server's mu (retention may drop it
 // again long after the job is done).
@@ -57,8 +58,8 @@ type Job struct {
 
 	// Lifecycle timestamps (wall-clock unix nanos), status-only: they
 	// describe scheduling history, never experiment output, so result
-	// bytes stay deterministic. Atomics because the scheduler goroutine
-	// writes while handlers read.
+	// bytes stay deterministic. Atomics because the job's runner writes
+	// while handlers read.
 	submittedAt atomic.Int64
 	startedAt   atomic.Int64
 	finishedAt  atomic.Int64
@@ -78,7 +79,7 @@ type Job struct {
 	// in order. Streams serve it from any offset (?from=), which is
 	// what lets a client resume after a disconnect — or a server
 	// restart — without re-reading lines it already has. Appends come
-	// from the scheduler goroutine and trial workers; pnotify is
+	// from the job's runner and the trial workers; pnotify is
 	// replaced (old one closed) on every append to wake waiting
 	// streams.
 	pmu     sync.Mutex
@@ -278,8 +279,9 @@ type Config struct {
 	JournalPath string
 	// JobTimeout is the default per-job deadline applied to jobs whose
 	// spec carries no timeout_ms of its own; 0 means no deadline. An
-	// expired job fails with reason "deadline" and the scheduler moves
-	// on.
+	// expired job fails with reason "deadline" and its runner moves on.
+	// The clock starts when the job does, so it also covers time the
+	// job's trials spend waiting for workers an older job still holds.
 	JobTimeout time.Duration
 	// DebugHandler, when non-nil, is mounted at /debug/ (the cmd layer
 	// passes the expvar+pprof mux).
@@ -292,13 +294,21 @@ type Config struct {
 
 // Server is the costsense experiment service: it admits specs onto a
 // bounded job queue (backpressure via 429), journals every job state
-// transition when durability is enabled, runs jobs one at a time on
-// the harness worker pool with pooled simulator state, shares
-// substrates through the content-addressed cache, and serves status,
-// resumable NDJSON progress streams, and byte-deterministic results.
-// After a crash, a restart on the same journal path re-enqueues every
-// incomplete job; replaying a spec reproduces its result byte for
-// byte.
+// transition when durability is enabled, runs jobs concurrently under
+// one worker budget, shares substrates through the content-addressed
+// cache, and serves status, resumable NDJSON progress streams, and
+// byte-deterministic results. After a crash, a restart on the same
+// journal path re-enqueues every incomplete job; replaying a spec
+// reproduces its result byte for byte.
+//
+// The budget is GOMAXPROCS twice over. That many job runners take jobs
+// off the queue in admission order and do each job's single-threaded
+// stages — journal records, substrate lookup or build, result encoding,
+// publication — on their own goroutine; that many trial workers, shared
+// by every running job, execute the trials, oldest job first (see
+// harness.Workers). A one-trial job thus leaves the other cores to the
+// next job's build or trials, while a sweep wide enough to fill the
+// workers keeps them all.
 type Server struct {
 	cfg      Config
 	cache    *Cache
@@ -324,16 +334,19 @@ type Server struct {
 	retainedBytes int64
 	evictedTotal  int64
 
-	// scratch is the result encoder's buffer. Only the scheduler
-	// goroutine (runJob) touches it, so it needs no lock; it grows to the
-	// largest result served and is reused for every job after.
-	scratch []byte
+	// workers is the server-wide trial worker set, started by Start and
+	// closed once the last runner has exited.
+	workers *harness.Workers[*trialWorker]
+	// scratch is the free list of result-encoding buffers, one per
+	// runner: runJob takes one for the job and puts it back, grown to the
+	// largest result it has encoded, for a later job.
+	scratch chan []byte
 
 	recoverQ []*Job // journaled incomplete jobs awaiting re-admission, original order
 
 	runCtx    context.Context // cancelled after drain; stops sweeps and streams
 	runCancel context.CancelFunc
-	drained   chan struct{} // closed when the scheduler loop exits
+	drained   chan struct{} // closed when every runner and worker has exited
 	started   atomic.Bool
 }
 
@@ -458,17 +471,30 @@ func (s *Server) retainResult(j *Job, body []byte) {
 // Cache exposes the substrate cache (for stats and tests).
 func (s *Server) Cache() *Cache { return s.cache }
 
-// Start launches the scheduler — a single goroutine draining the job
-// queue in admission order — and, after a journaled restart, the
-// recovery goroutine re-admitting incomplete jobs. Idempotent.
+// Start launches the scheduler — GOMAXPROCS job runners taking jobs off
+// the queue in admission order, and as many trial workers shared by all
+// of them — and, after a journaled restart, the recovery goroutine
+// re-admitting incomplete jobs. Idempotent.
 func (s *Server) Start() {
 	if s.started.Swap(true) {
 		return
 	}
-	go func() {
-		defer close(s.drained)
-		s.queue.Run(s.runCtx)
-	}()
+	//costsense:nondet-ok sizes the runner and worker sets only; a result is a pure function of its spec, whichever runner and workers produce it
+	n := runtime.GOMAXPROCS(0)
+	s.workers = harness.StartWorkers(s.runCtx, n, func() *trialWorker { return new(trialWorker) })
+	s.scratch = make(chan []byte, n)
+	var live atomic.Int64
+	live.Store(int64(n))
+	for i := 0; i < n; i++ {
+		s.scratch <- nil
+		go func() {
+			s.queue.Run(s.runCtx)
+			if live.Add(-1) == 0 { // the last runner out closes up
+				s.workers.Close()
+				close(s.drained)
+			}
+		}()
+	}
 	if len(s.recoverQ) > 0 {
 		go s.readmitRecovered()
 	}
@@ -502,14 +528,14 @@ func (s *Server) readmitRecovered() {
 //
 // Jobs still queued at drain are failed in memory (streams terminate)
 // but keep their journaled submitted records, so the next start on the
-// same journal re-runs them; an in-flight job the deadline cuts off is
-// journaled failed(shutdown) by the runner and is not re-run.
+// same journal re-runs them; each in-flight job the deadline cuts off
+// is journaled failed(shutdown) by its runner and is not re-run.
 func (s *Server) Drain(ctx context.Context) error {
 	s.queue.Close()
 	if !s.started.Swap(true) {
-		// No scheduler ever started, so nothing will drain the queue or
+		// No runner ever started, so nothing will drain the queue or
 		// close drained; do both here. The Swap also keeps a late Start
-		// from launching one now.
+		// from launching them now.
 		s.runCancel()
 		close(s.drained)
 	}
@@ -527,9 +553,9 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // MarkKilled journals a failed(reason=killed) transition for every
 // in-flight job. The cmd layer calls it when a second termination
-// signal arrives mid-drain — the process is about to die with the
-// sweep unfinished, and without the record the next start would
-// re-run the job blind instead of reporting what killed it.
+// signal arrives mid-drain — the process is about to die with their
+// sweeps unfinished, and without the records the next start would
+// re-run those jobs blind instead of reporting what killed them.
 func (s *Server) MarkKilled() {
 	s.mu.Lock()
 	var running []*Job
@@ -547,8 +573,8 @@ func (s *Server) MarkKilled() {
 		})
 		s.logEvent("job killed", slog.String("job", j.id))
 	}
-	// Close the journal so the doomed sweep cannot append a finished
-	// record after the failed(killed) one — that ordering would read as
+	// Close the journal so a doomed sweep cannot append a finished
+	// record after its failed(killed) one — that ordering would read as
 	// corruption on the next start. Appends after this point fail into
 	// the journal-error counter; the process is exiting anyway.
 	//costsense:err-ok the process is about to exit; a close error has no one left to act on it
@@ -578,7 +604,7 @@ func (s *Server) failUnfinished() {
 
 // journalAppend writes one journal record, folding failures into the
 // journal-error counter: a dead disk degrades durability but must not
-// take the scheduler with it. Returns the append error for callers
+// take the runners with it. Returns the append error for callers
 // that gate on durability (admission does; runner transitions log and
 // proceed).
 func (s *Server) journalAppend(r journalRecord) error {
@@ -599,26 +625,38 @@ func (s *Server) deadlineFor(spec Spec) time.Duration {
 	return s.cfg.JobTimeout
 }
 
-// runJob executes one admitted job: journal the start, resolve the
-// substrate through the cache, run the sweep under the job's deadline,
-// journal and publish the outcome. A panicking sweep (a protocol bug,
-// a mutated substrate) fails this job — panic value journaled — and
-// leaves the scheduler alive for the next one.
+// failJob journals and publishes a job's failure.
+func (s *Server) failJob(j *Job, reason, msg string) {
+	s.journalAppend(journalRecord{Op: opFailed, Job: j.id, Reason: reason, Detail: msg}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
+	j.fail(reason, msg)
+	s.logJobDone(j)
+}
+
+// runJob executes one admitted job on the calling runner: journal the
+// start, resolve the substrate through the cache, run the trials on the
+// shared workers under the job's deadline, encode, journal and publish
+// the outcome. A panic — in a trial on a worker (a protocol bug), or
+// here on the runner (a mutated substrate) — fails this job, panic
+// value journaled so a restart does not re-run it, and leaves the
+// runner, the workers and every other running job as they were.
 func (s *Server) runJob(ctx context.Context, j *Job) {
+	scratch := <-s.scratch // never parks: one buffer per runner
 	defer func() {
+		s.scratch <- scratch
 		if r := recover(); r != nil {
 			s.panicked.Add(1)
-			msg := fmt.Sprintf("job panicked: %v", r)
-			s.journalAppend(journalRecord{Op: opFailed, Job: j.id, Reason: ReasonPanic, Detail: msg}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
-			j.fail(ReasonPanic, msg)
-			s.logJobDone(j)
+			s.failJob(j, ReasonPanic, fmt.Sprintf("job panicked: %v", r))
 		}
 	}()
 	s.journalAppend(journalRecord{Op: opStarted, Job: j.id}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
 	key := j.spec.SubstrateKey()
-	sub, hit := s.cache.GetOrBuild(key, func() *Substrate {
+	sub, hit, err := s.cache.GetOrBuild(ctx, key, func() *Substrate {
 		return buildSubstrate(key, j.spec.Graph, j.spec.Shards)
 	})
+	if err != nil { // the drain deadline passed while another job was building this substrate
+		s.failJob(j, ReasonShutdown, "drain cut the job off before its substrate was built")
+		return
+	}
 	j.cached.Store(hit)
 	j.startedAt.Store(nowUnixNano())
 	j.state.Store(jobRunning)
@@ -635,9 +673,10 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		runCtx, cancel = context.WithTimeoutCause(ctx, deadline, errJobDeadline)
 		defer cancel()
 	}
-	buf, err := runSpec(runCtx, j.spec, sub, j, s.scratch[:0])
+	buf, err := runSpec(runCtx, s.workers, j.spec, sub, j, scratch[:0])
 	if err != nil {
 		reason, msg := ReasonError, err.Error()
+		var trialPanic *harness.TrialPanic
 		switch {
 		case errors.Is(context.Cause(runCtx), errJobDeadline):
 			reason = ReasonDeadline
@@ -646,14 +685,18 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		case ctx.Err() != nil:
 			reason = ReasonShutdown
 			msg = fmt.Sprintf("drain cut the job off after %d/%d trials", j.trialsDone.Load(), j.spec.Trials)
+		case errors.As(err, &trialPanic):
+			reason = ReasonPanic
+			msg = "job panicked: " + msg
+			s.panicked.Add(1)
+			s.logEvent("trial panicked", slog.String("job", j.id), slog.Int("trial", trialPanic.Index),
+				slog.Any("value", trialPanic.Value), slog.String("stack", string(trialPanic.Stack)))
 		}
-		s.journalAppend(journalRecord{Op: opFailed, Job: j.id, Reason: reason, Detail: msg}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
-		j.fail(reason, msg)
-		s.logJobDone(j)
+		s.failJob(j, reason, msg)
 		return
 	}
 	buf = append(buf, '\n')
-	s.scratch = buf // keep what the encoder grew for the next job
+	scratch = buf // keep what the encoder grew for a later job
 	// The one copy of the result path: the scratch buffer's bytes into a
 	// slice of exactly their size, which the job table then owns.
 	body := make([]byte, len(buf))
@@ -676,9 +719,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 func (s *Server) logJobDone(j *Job) {
 	started, finished := j.startedAt.Load(), j.finishedAt.Load()
 	trials := j.trialsDone.Load()
-	durMS := float64(finished-started) / 1e6
-	rate := 0.0
-	if finished > started {
+	durMS, rate := 0.0, 0.0
+	if started > 0 && finished > started { // a job cut off before its substrate was ready never started
+		durMS = float64(finished-started) / 1e6
 		rate = float64(trials) / (float64(finished-started) / 1e9)
 	}
 	args := []any{
@@ -694,7 +737,7 @@ func (s *Server) logJobDone(j *Job) {
 
 // Handler returns the server's HTTP API:
 //
-//	GET  /healthz              liveness: queue depth, running job, cache size
+//	GET  /healthz              liveness: queue depth, running jobs, cache size
 //	GET  /metrics              Prometheus text-format exposition
 //	POST /api/v1/jobs          submit a Spec; 202, or 429 when the queue is full
 //	GET  /api/v1/jobs          all job statuses in creation order
@@ -733,7 +776,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	_, runningID := s.snapshotJobs()
+	_, running := s.snapshotJobs()
 	cs := s.cache.Stats()
 	resp := map[string]any{
 		"status":        "ok",
@@ -742,8 +785,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cache_entries": cs.Entries,
 		"cache_bytes":   cs.Bytes,
 	}
-	if runningID != "" {
-		resp["running_job"] = runningID
+	if len(running) > 0 {
+		resp["running_jobs"] = running
 	}
 	if s.journal != nil {
 		resp["journal"] = s.journal.Path()
@@ -767,8 +810,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// ID allocation, the journal's submitted record, admission and
 	// registration are atomic under mu, so job IDs are dense in
 	// admission order and the journal's submission order matches the
-	// queue's. The submitted record is written before TrySubmit — the
-	// scheduler may pick the job up the instant it lands in the queue,
+	// queue's. The submitted record is written before TrySubmit — a
+	// runner may pick the job up the instant it lands in the queue,
 	// and its started record must find submitted already durable. A
 	// bounced admission is journaled as rejected (and the ID burned)
 	// so a crash in the window cannot resurrect a job the client was

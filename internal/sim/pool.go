@@ -11,16 +11,24 @@ import "costsense/internal/graph"
 // after Run finishes, the Network parks itself back in the pool.
 //
 // A Pool is deliberately NOT safe for concurrent use: it is per-worker
-// state. A parallel sweep gives each worker goroutine its own Pool
-// (harness.RunIndexedPooled does exactly this), which also preserves
-// the sequencing a pooled run relies on — the *Stats returned by Run
-// aliases network storage and is invalidated when the same worker
-// starts its next pooled run, so results must be copied out between
-// runs of one goroutine, never shared across goroutines.
+// state, one goroutine's for as long as it lives. A harness.Workers set
+// gives each worker goroutine its own — for one sweep under
+// harness.RunIndexedPooled, for the server's whole life under
+// internal/serve, where a worker's pool outlives jobs and serves trials
+// of whichever job the worker claims next — which also preserves the
+// sequencing a pooled run relies on: the *Stats returned by Run aliases
+// network storage and is invalidated when the same worker starts its
+// next pooled run, so results must be copied out between runs of one
+// goroutine, never shared across goroutines.
+//
+// A Network returns to its pool when Run returns. If the run panics it
+// never does: a half-executed network is not reusable, so whoever
+// recovers the panic finds the pool consistent, just one network short.
 //
 // Graphs are keyed by pointer identity, not content: reuse requires
 // handing the literal same *graph.Graph to every run (the substrate
-// cache in internal/serve guarantees this for server sweeps).
+// cache in internal/serve guarantees this for server sweeps, across
+// jobs as well as within one).
 type Pool struct {
 	limit int
 	idle  []*Network // least-recently released first

@@ -226,6 +226,69 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
+// panicOnDelivery is a flooder whose vertex 3 panics on its first
+// message: a protocol bug mid-run.
+type panicOnDelivery struct{ tracingFlooder }
+
+func (p *panicOnDelivery) Handle(ctx Context, from graph.NodeID, m Message) {
+	if ctx.ID() == 3 {
+		panic("protocol bug at vertex 3")
+	}
+	p.tracingFlooder.Handle(ctx, from, m)
+}
+
+// TestPoolNeverTakesBackAPanickedNetwork: a Network parks itself in its
+// pool only when Run returns. One whose run panicked is half-executed —
+// events queued, arena slots live — so whoever recovers the panic (the
+// harness does, per trial) must find the pool without it, and the
+// worker's next run builds afresh and matches an unpooled run.
+func TestPoolNeverTakesBackAPanickedNetwork(t *testing.T) {
+	g := resetTestGraph()
+	p := NewPool(2)
+	warm, err := NewNetwork(g, resetTestProcs(g), WithPool(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	captureRun(t, warm) // parks warm, so the panicking run below is a pooled, reused network
+
+	procs := make([]Process, g.N())
+	for v := range procs {
+		procs[v] = &panicOnDelivery{}
+	}
+	bad, err := NewNetwork(g, procs, WithPool(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != warm || p.Size() != 0 {
+		t.Fatalf("the panicking run did not take the pooled network (size %d)", p.Size())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("run did not panic")
+			}
+		}()
+		bad.Run()
+	}()
+	if p.Size() != 0 {
+		t.Fatalf("pool holds %d networks after a panicked run, want 0", p.Size())
+	}
+	next, err := NewNetwork(g, resetTestProcs(g), WithSeed(1), WithDelay(DelayUniform{}), WithPool(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == bad {
+		t.Fatal("the panicked network came back out of the pool")
+	}
+	fresh, err := NewNetwork(g, resetTestProcs(g), WithSeed(1), WithDelay(DelayUniform{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := captureRun(t, next), captureRun(t, fresh); !got.equal(want) {
+		t.Errorf("run after a panicked one diverged from an unpooled run")
+	}
+}
+
 // TestPoolEviction checks the size bound: the least recently released
 // network is dropped when the pool is full.
 func TestPoolEviction(t *testing.T) {

@@ -17,8 +17,11 @@
 #      out of the job table: it answers 410 Gone, says result_evicted
 #      in its status and counts on /metrics, while the newest is
 #      served — and (3) is the remedy the 410 names, a resubmission;
-#   7. a spec overflowing the queue is bounced with 429 + Retry-After;
-#   8. SIGTERM drains and exits 0.
+#   7. two different specs submitted back to back — so they run side by
+#      side on the shared trial workers — each return the bytes the same
+#      spec returned when it had the server to itself;
+#   8. a spec overflowing the queue is bounced with 429 + Retry-After;
+#   9. SIGTERM drains and exits 0.
 #
 # Runs locally and in CI's serve-smoke job:
 #
@@ -158,13 +161,45 @@ HITS_M="$(metric costsense_cache_hits_total)"
 grep -q '^# TYPE costsense_job_queue_wait_seconds histogram$' "$TMP/metrics.txt" ||
 	fail "queue-wait histogram metadata missing"
 
+echo "== concurrent jobs: side by side equals solo"
+# Small results, so all four fit the 1 MiB window at once.
+SPEC_A='{"experiment": "ghs", "graph": {"family": "random", "n": 48, "m": 140,
+  "weights": {"kind": "uniform", "max": 16, "seed": 3}, "seed": 3}, "delay": "uniform", "trials": 8, "seed": 5}'
+SPEC_B='{"experiment": "dfs", "graph": {"family": "grid", "rows": 6, "cols": 6}, "trials": 8, "seed": 9,
+  "faults": {"drop": 0.05, "dup": 0.02, "downs": 1}}'
+submit_spec() {
+	curl -sf -X POST -H 'Content-Type: application/json' -d "$1" "$BASE/api/v1/jobs" |
+		sed -n 's/.*"id": "\(job-[0-9]*\)".*/\1/p'
+}
+for s in A B; do
+	eval "spec=\$SPEC_$s"
+	id="$(submit_spec "$spec")"
+	[ -n "$id" ] || fail "solo submission of spec $s returned no job id"
+	wait_done "$id"
+	curl -sf "$BASE/api/v1/jobs/$id/result" >"$TMP/solo_$s.json" || fail "solo result of spec $s not served"
+done
+IDA="$(submit_spec "$SPEC_A")"
+IDB="$(submit_spec "$SPEC_B")"
+[ -n "$IDA" ] && [ -n "$IDB" ] || fail "back-to-back submissions returned no job ids"
+wait_done "$IDA"
+wait_done "$IDB"
+curl -sf "$BASE/api/v1/jobs/$IDA/result" | cmp - "$TMP/solo_A.json" ||
+	fail "spec A run beside spec B differs from spec A run alone"
+curl -sf "$BASE/api/v1/jobs/$IDB/result" | cmp - "$TMP/solo_B.json" ||
+	fail "spec B run beside spec A differs from spec B run alone"
+cmp -s "$TMP/solo_A.json" "$TMP/solo_B.json" && fail "the two specs returned the same bytes; the comparison proved nothing"
+
 echo "== backpressure: overflow the queue"
-# A long job ties up the scheduler; the queue (cap 2) then fills and
-# the next submission must bounce with 429 + Retry-After.
+# Long jobs tie up every job runner (there are GOMAXPROCS of them); the
+# queue (cap 2) then fills and the next submission must bounce with
+# 429 + Retry-After.
 BIG='{"experiment": "flood", "graph": {"family": "random", "n": 500, "m": 2000}, "trials": 400}'
 curl -sf -X POST -d "$BIG" "$BASE/api/v1/jobs" >/dev/null || fail "long job rejected"
-curl -sf -X POST -d "$BIG" "$BASE/api/v1/jobs" >/dev/null || true
-curl -sf -X POST -d "$BIG" "$BASE/api/v1/jobs" >/dev/null || true
+k=0
+while curl -sf -X POST -d "$BIG" "$BASE/api/v1/jobs" >/dev/null; do
+	k=$((k + 1))
+	[ "$k" -gt 64 ] && fail "65 long jobs admitted by a queue of 2; no backpressure"
+done
 CODE="$(curl -s -o "$TMP/429.json" -w '%{http_code}' -D "$TMP/429.hdr" -X POST -d "$BIG" "$BASE/api/v1/jobs")"
 [ "$CODE" = "429" ] || fail "expected 429 on a full queue, got $CODE"
 grep -qi '^retry-after:' "$TMP/429.hdr" || fail "429 response lacks Retry-After"
