@@ -206,15 +206,16 @@ var (
 	WithShardAssignment = sim.WithShardAssignment
 	// NewPool builds a network pool for sweeps: WithPool(p) recycles a
 	// finished Network's allocations into the next run on the same
-	// graph, with byte-identical results (the Reset golden contract).
-	// A Pool is single-goroutine state — give each sweep worker its
-	// own (see RunTrialsPooled).
+	// graph — or, once the pool is full, on another graph — with
+	// byte-identical results (the Reset golden contract). A Pool is
+	// single-goroutine state — give each sweep worker its own (see
+	// RunTrialsPooled).
 	NewPool  = sim.NewPool
 	WithPool = sim.WithPool
 )
 
-// NetworkPool recycles Network allocations across runs on the same
-// graph.
+// NetworkPool recycles Network allocations across runs, on the same
+// graph and, once full, across graphs.
 type NetworkPool = sim.Pool
 
 // Observability (internal/obs). Observers are optional: a Network

@@ -62,11 +62,13 @@ type FloodResult struct {
 
 // RunFlood executes CONflood from the source on g.
 func RunFlood(g *graph.Graph, source graph.NodeID, opts ...sim.Option) (*FloodResult, error) {
+	// One slice holds every vertex's process: one allocation, not one
+	// per vertex.
+	fl := make([]FloodProc, g.N())
 	procs := make([]sim.Process, g.N())
-	fl := make([]*FloodProc, g.N())
-	for v := range procs {
-		fl[v] = &FloodProc{Source: source}
-		procs[v] = fl[v]
+	for v := range fl {
+		fl[v].Source = source
+		procs[v] = &fl[v]
 	}
 	stats, err := sim.Run(g, procs, opts...)
 	if err != nil {

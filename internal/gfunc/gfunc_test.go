@@ -153,7 +153,7 @@ func TestComputeProperty(t *testing.T) {
 		}
 		return res.Stats.Comm == 2*tree.Weight()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(8))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -209,7 +209,7 @@ func TestTheorem21InformationFlow(t *testing.T) {
 		vv := graph.MSTWeight(g)
 		return res.Stats.UsedWeight(g) >= vv && res.Stats.Comm >= vv
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(9))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -113,18 +114,14 @@ func RandomConnected(n, m int, w WeightFn, seed int64) *Graph {
 	for p, v := range perm {
 		pos[v] = p
 	}
-	have := make(map[[2]NodeID]bool)
+	have := newPairSet(m)
 	addEdge := func(u, v NodeID) bool {
-		if u == v {
+		if u == v || !have.add(u, v) {
 			return false
 		}
 		if u > v {
 			u, v = v, u
 		}
-		if have[[2]NodeID{u, v}] {
-			return false
-		}
-		have[[2]NodeID{u, v}] = true
 		b.AddEdge(u, v, w(i, u, v))
 		i++
 		return true
@@ -262,20 +259,16 @@ func RandomRegular(n, d int, w WeightFn, seed int64) *Graph {
 			}
 		}
 		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		have := make(map[[2]NodeID]bool)
+		have := newPairSet(len(stubs) / 2)
 		i := 0
 		for k := 0; k+1 < len(stubs); k += 2 {
 			u, v := stubs[k], stubs[k+1]
-			if u == v {
+			if u == v || !have.add(u, v) {
 				continue
 			}
 			if u > v {
 				u, v = v, u
 			}
-			if have[[2]NodeID{u, v}] {
-				continue
-			}
-			have[[2]NodeID{u, v}] = true
 			b.AddEdge(u, v, w(i, u, v))
 			i++
 		}
@@ -285,6 +278,44 @@ func RandomRegular(n, d int, w WeightFn, seed int64) *Graph {
 		}
 		if attempt > 100 {
 			panic("graph: RandomRegular failed to produce a connected graph")
+		}
+	}
+}
+
+// pairSet is a fixed-capacity set of unordered vertex pairs: open
+// addressing with linear probing over packed min<<32|max keys, sized at
+// construction for the most pairs it will ever hold, so an insert never
+// grows or rehashes. Key 0 marks an empty slot; a stored key is never
+// 0, because its larger endpoint is at least 1.
+type pairSet struct {
+	slots []uint64
+	shift uint8 // 64 - log2(len(slots)): the multiplicative hash keeps the top bits
+}
+
+// newPairSet returns a set that holds up to max pairs at a load factor
+// of at most one half.
+func newPairSet(max int) *pairSet {
+	size := 2
+	for size < 2*max {
+		size *= 2
+	}
+	return &pairSet{slots: make([]uint64, size), shift: uint8(64 - bits.Len(uint(size)-1))}
+}
+
+// add inserts the pair {u, v} (u != v) and reports whether it was new.
+func (s *pairSet) add(u, v NodeID) bool {
+	if u > v {
+		u, v = v, u
+	}
+	k := uint64(u)<<32 | uint64(v)
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			return true
+		case k:
+			return false
 		}
 	}
 }

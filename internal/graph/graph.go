@@ -101,13 +101,19 @@ func (b *Builder) Build() (*Graph, error) {
 	for i := range g.edges {
 		g.edges[i].ID = EdgeID(i)
 	}
+	// Every adjacency list is a capacity-capped window of one backing
+	// slice: two allocations for the whole graph instead of one per
+	// vertex, and an append to a list can never spill into the next.
 	deg := make([]int, b.n)
 	for _, e := range g.edges {
 		deg[e.U]++
 		deg[e.V]++
 	}
+	backing := make([]Half, 2*len(g.edges))
+	at := 0
 	for v := range g.adj {
-		g.adj[v] = make([]Half, 0, deg[v])
+		g.adj[v] = backing[at : at : at+deg[v]]
+		at += deg[v]
 	}
 	for i, e := range g.edges {
 		id := EdgeID(i)

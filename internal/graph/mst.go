@@ -1,7 +1,9 @@
 package graph
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"costsense/internal/pq"
 )
@@ -50,29 +52,67 @@ func (d *DSU) Union(x, y int) bool {
 // and returns its edges. Ties are broken by edge ID, making the result
 // deterministic.
 func Kruskal(g *Graph) []Edge {
-	edges := make([]Edge, len(g.Edges()))
-	copy(edges, g.Edges())
-	ids := make([]int, len(edges))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ea, eb := edges[ids[a]], edges[ids[b]]
-		if ea.W != eb.W {
-			return ea.W < eb.W
-		}
-		return ids[a] < ids[b]
-	})
+	edges := g.Edges()
 	dsu := NewDSU(g.N())
-	var out []Edge
-	for _, i := range ids {
-		e := edges[i]
+	out := make([]Edge, 0, max(g.N()-1, 0))
+	for _, id := range byWeightThenID(edges) {
+		e := edges[id]
 		if dsu.Union(int(e.U), int(e.V)) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
+
+// byWeightThenID returns the edge IDs in (W, ID) order. When the
+// heaviest weight is at most countingSortSpan per edge it counting-sorts
+// by weight, which is stable, so equal weights keep ID order. Otherwise
+// it sorts W<<idBits|ID keys, which order the same way, and falls back
+// to a comparison sort only when such a key would overflow 64 bits.
+func byWeightThenID(edges []Edge) []int32 {
+	var maxW int64
+	for _, e := range edges {
+		maxW = max(maxW, e.W)
+	}
+	ids := make([]int32, len(edges))
+	if maxW <= countingSortSpan*int64(len(edges)) {
+		start := make([]int32, maxW+2)
+		for _, e := range edges {
+			start[e.W+1]++
+		}
+		for w := int64(1); w <= maxW; w++ {
+			start[w+1] += start[w]
+		}
+		for i, e := range edges {
+			ids[start[e.W]] = int32(i)
+			start[e.W]++
+		}
+		return ids
+	}
+	idBits := bits.Len(uint(len(edges)))
+	if bits.Len64(uint64(maxW))+idBits <= 64 {
+		keys := make([]uint64, len(edges))
+		for i, e := range edges {
+			keys[i] = uint64(e.W)<<idBits | uint64(i)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			ids[i] = int32(k & (1<<idBits - 1))
+		}
+		return ids
+	}
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	slices.SortFunc(ids, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(edges[a].W, edges[b].W), cmp.Compare(a, b))
+	})
+	return ids
+}
+
+// countingSortSpan bounds the counting sort's table at this many
+// entries per edge, so ordering stays O(m) in time and space.
+const countingSortSpan = 4
 
 // MSTWeight returns 𝓥 = w(MST(G)), the minimum cost of disseminating a
 // message to all vertices. It returns -1 when the graph is disconnected.

@@ -80,7 +80,7 @@ func TestPrimMatchesKruskalProperty(t *testing.T) {
 		// compare weights, not edge sets.
 		return pt.Weight() == MSTWeight(g)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(14))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +137,7 @@ func TestFact63_MSTDiameterBound(t *testing.T) {
 		dd := Diameter(g)
 		return mst.Diam() <= vv && vv <= int64(n-1)*dd
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(15))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -116,7 +116,7 @@ func TestEulerTourProperties(t *testing.T) {
 		}
 		return len(edgeCount) == tr.Size()-1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(16))}); err != nil {
 		t.Fatal(err)
 	}
 }

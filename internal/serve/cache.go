@@ -3,9 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"costsense/internal/graph"
@@ -77,11 +75,15 @@ func (s *Substrate) Bytes() int64 { return s.bytes }
 // and the derived weights. FNV-1a, not SHA — this runs on every cache
 // hit and only has to catch accidents, not adversaries.
 func (s *Substrate) fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	// FNV-1a over each value's eight little-endian bytes, written out
+	// so the edge loop makes no call per word.
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	word := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		for i := 0; i < 64; i += 8 {
+			h ^= uint64(v) >> i & 0xff
+			h *= prime64
+		}
 	}
 	word(int64(s.g.N()))
 	word(int64(s.g.M()))
@@ -95,7 +97,7 @@ func (s *Substrate) fingerprint() uint64 {
 	}
 	word(s.totalWeight)
 	word(s.mstWeight)
-	return h.Sum64()
+	return h
 }
 
 // Verify re-hashes the substrate and panics on any divergence from the

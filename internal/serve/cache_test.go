@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"testing"
@@ -272,5 +274,31 @@ func TestCachePanickingBuildReleasesWaiters(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
 		t.Fatalf("stats = %+v, want 1 entry and 2 misses", st)
+	}
+}
+
+// TestFingerprintIsFNV1a: the inline fingerprint loop is FNV-1a over
+// each value's eight little-endian bytes, value for value what
+// hash/fnv computes, on a substrate with a shard assignment.
+func TestFingerprintIsFNV1a(t *testing.T) {
+	s := testSubstrate(t, 64, 4)
+	h := fnv.New64a()
+	word := func(v int64) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+	}
+	word(int64(s.g.N()))
+	word(int64(s.g.M()))
+	for _, e := range s.g.Edges() {
+		word(int64(e.U))
+		word(int64(e.V))
+		word(e.W)
+	}
+	for _, sh := range s.shardOf {
+		word(int64(sh))
+	}
+	word(s.totalWeight)
+	word(s.mstWeight)
+	if got, want := s.fingerprint(), h.Sum64(); got != want {
+		t.Fatalf("fingerprint %016x, hash/fnv %016x", got, want)
 	}
 }

@@ -54,7 +54,7 @@ func requireSameBytes(tb testing.TB, got, want []byte) {
 // test's own sweeps, closed with the test.
 func soloWorkers(tb testing.TB) *harness.Workers[*trialWorker] {
 	tb.Helper()
-	ws := harness.StartWorkers(context.Background(), runtime.GOMAXPROCS(0), func() *trialWorker { return new(trialWorker) })
+	ws := harness.StartWorkers(context.Background(), runtime.GOMAXPROCS(0), newTrialWorker)
 	tb.Cleanup(ws.Close)
 	return ws
 }

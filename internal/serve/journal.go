@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -311,10 +312,12 @@ func checkSeq(prev, got uint64) error {
 // scheduler journals runs). All methods are nil-receiver-safe no-ops,
 // so a server without -journal pays one branch per transition.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	seq  uint64
+	mu     sync.Mutex
+	f      *os.File
+	path   string
+	seq    uint64
+	end    int64 // file offset just past the last whole, synced record
+	broken error // set when a failed append could not be rolled back; fails every later append
 }
 
 // OpenJournal opens (creating if absent) and recovers the journal at
@@ -354,7 +357,7 @@ func OpenJournal(path string) (*Journal, *Recovery, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("serve: seeking journal: %w", err)
 	}
-	return &Journal{f: f, path: path, seq: rec.NextSeq}, rec, nil
+	return &Journal{f: f, path: path, seq: rec.NextSeq, end: good}, rec, nil
 }
 
 // Path reports where the journal lives ("" for a nil journal).
@@ -369,27 +372,55 @@ func (jl *Journal) Path() string {
 // is the durability point: once append returns nil the transition
 // survives kill -9. Appends happen per job state transition — a
 // handful per job — never on the simulator hot path.
+//
+// A failed append leaves the journal as it was: no seq is consumed, and
+// whatever part of the record reached the file is truncated away, so
+// neither a seq gap nor a torn line mid-file can make the next
+// OpenJournal reject the history as corrupt.
 func (jl *Journal) append(r journalRecord) error {
 	if jl == nil {
 		return nil
 	}
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	jl.seq++
-	r.V, r.Seq, r.TS = 1, jl.seq, nowUnixNano()
+	if jl.broken != nil {
+		return fmt.Errorf("serve: journal unusable since a failed append could not be rolled back: %w", jl.broken)
+	}
+	r.V, r.Seq, r.TS = 1, jl.seq+1, nowUnixNano()
 	b, err := json.Marshal(r)
 	if err != nil {
-		jl.seq--
 		return fmt.Errorf("serve: encoding journal record: %w", err)
 	}
 	b = append(b, '\n')
-	if _, err := jl.f.Write(b); err != nil {
-		return fmt.Errorf("serve: appending journal record: %w", err)
+	if n, err := jl.f.Write(b); err != nil {
+		return jl.rollback(n > 0, fmt.Errorf("serve: appending journal record: %w", err))
 	}
 	if err := jl.f.Sync(); err != nil {
-		return fmt.Errorf("serve: syncing journal: %w", err)
+		return jl.rollback(true, fmt.Errorf("serve: syncing journal: %w", err))
 	}
+	jl.seq++
+	jl.end += int64(len(b))
 	return nil
+}
+
+// rollback undoes a failed append and returns its error. When bytes of
+// the record may be in the file it truncates back to the last good
+// record and seeks there; if that fails too, the journal is marked
+// broken, because an append after a torn line would turn recoverable
+// damage into mid-file corruption.
+func (jl *Journal) rollback(wrote bool, cause error) error {
+	if !wrote {
+		return cause
+	}
+	err := jl.f.Truncate(jl.end)
+	if err == nil {
+		_, err = jl.f.Seek(jl.end, io.SeekStart)
+	}
+	if err != nil {
+		jl.broken = fmt.Errorf("rolling back to offset %d: %w", jl.end, err)
+		return errors.Join(cause, jl.broken)
+	}
+	return cause
 }
 
 // Close releases the journal file. Appends after Close fail.

@@ -283,6 +283,93 @@ func TestJournalAppendRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalFailedAppendLeavesNoGap: an append whose write fails —
+// the journal's handle swapped for a read-only one, standing in for
+// ENOSPC or EIO — consumes no seq and leaves nothing in the file, so
+// the next append continues the dense sequence and the journal reopens
+// clean.
+func TestJournalFailedAppendLeavesNoGap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	jl, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := validSpec()
+	if err := sp.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.append(journalRecord{Op: opSubmitted, Job: "job-000001", Spec: &sp}); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rw := jl.f
+	jl.f = ro
+	if err := jl.append(journalRecord{Op: opStarted, Job: "job-000001"}); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	jl.f = rw
+	for _, r := range []journalRecord{
+		{Op: opStarted, Job: "job-000001"},
+		{Op: opFinished, Job: "job-000001", Result: "{}\n"},
+	} {
+		if err := jl.append(r); err != nil {
+			t.Fatalf("append %s after the failed one: %v", r.Op, err)
+		}
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec, err := OpenJournal(path)
+	var ce *JournalCorruptError
+	if errors.As(err, &ce) {
+		t.Fatalf("a failed append corrupted the journal: %v", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.NextSeq != 3 || rec.TornTail || len(rec.Jobs) != 1 || !rec.Jobs[0].Done {
+		t.Fatalf("want seqs 1..3 and one finished job, got %+v", rec)
+	}
+}
+
+// TestJournalUnrollableAppendFailsLater: when a record has reached the
+// handle but cannot be made durable, and truncating it away fails too —
+// a pipe takes the write, then refuses both fsync and truncate — the
+// journal refuses every later append, even through a good handle,
+// rather than write after a torn line.
+func TestJournalUnrollableAppendFailsLater(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	jl, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	defer pw.Close()
+	rw := jl.f
+	jl.f = pw
+	if err := jl.append(journalRecord{Op: opStarted, Job: "job-000001"}); err == nil {
+		t.Fatal("append to a pipe reported durable")
+	}
+	jl.f = rw
+	if err := jl.append(journalRecord{Op: opStarted, Job: "job-000001"}); err == nil {
+		t.Fatal("append after a failed rollback succeeded")
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || len(data) != 0 {
+		t.Fatalf("journal holds %q (%v), want nothing", data, err)
+	}
+}
+
 // TestJournalNilIsNoop: a journal-less server calls the same appends;
 // they must all be free no-ops.
 func TestJournalNilIsNoop(t *testing.T) {

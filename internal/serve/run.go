@@ -296,26 +296,20 @@ func aggregate(rows []TrialRow) Aggregate {
 	return agg
 }
 
-// trialWorker is the state one trial worker owns: a sim.Pool bound to
-// the graph of the substrate the worker served last. Consecutive trials
-// on one substrate — of one sweep, or of successive jobs — reuse one
-// network allocation (the Reset golden contract keeps the results
-// byte-identical to fresh networks); the first trial on a different
-// substrate replaces the pool, so a stream of one-shot substrates pins
-// at most one dead network set per worker.
+// trialWorker is the state one trial worker owns: one sim.Pool for the
+// worker's whole life. Consecutive trials on one substrate — of one
+// sweep, or of successive jobs — hit the pool and reuse one network;
+// a trial on a new substrate recycles the pool's least recently used
+// network once the pool is full, rebinding its storage to the new
+// graph. Either way the results stay byte-identical to fresh networks
+// (the Reset golden contract), and a worker pins at most the pool's two
+// idle networks.
 type trialWorker struct {
-	g    *graph.Graph
 	pool *sim.Pool
 }
 
-// poolFor returns the worker's pool for g, dropping the one bound to
-// any other graph.
-func (w *trialWorker) poolFor(g *graph.Graph) *sim.Pool {
-	if w.g != g {
-		w.g, w.pool = g, sim.NewPool(2)
-	}
-	return w.pool
-}
+// newTrialWorker returns a worker's state, for harness.StartWorkers.
+func newTrialWorker() *trialWorker { return &trialWorker{pool: sim.NewPool(2)} }
 
 // runSweep runs a normalized spec's trials on ws, beside whatever other
 // sweeps it is serving, and returns their rows in index order plus
@@ -342,7 +336,7 @@ func runSweep(ctx context.Context, ws *harness.Workers[*trialWorker], spec Spec,
 		func(_ context.Context, w *trialWorker, i int) (TrialRow, error) {
 			seed := spec.Seed + int64(i)
 			opts := []sim.Option{
-				sim.WithDelay(delay), sim.WithSeed(seed), sim.WithPool(w.poolFor(g)),
+				sim.WithDelay(delay), sim.WithSeed(seed), sim.WithPool(w.pool),
 			}
 			if spec.EventLimit > 0 {
 				opts = append(opts, sim.WithEventLimit(spec.EventLimit))

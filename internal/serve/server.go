@@ -481,7 +481,7 @@ func (s *Server) Start() {
 	}
 	//costsense:nondet-ok sizes the runner and worker sets only; a result is a pure function of its spec, whichever runner and workers produce it
 	n := runtime.GOMAXPROCS(0)
-	s.workers = harness.StartWorkers(s.runCtx, n, func() *trialWorker { return new(trialWorker) })
+	s.workers = harness.StartWorkers(s.runCtx, n, newTrialWorker)
 	s.scratch = make(chan []byte, n)
 	var live atomic.Int64
 	live.Store(int64(n))

@@ -118,6 +118,21 @@ func (q *eventQueue) Reset() {
 	q.now, q.n, q.head, q.nonEmpty, q.cur = 0, 0, 0, 0, q.cur[:0]
 }
 
+// fit empties the queue for a Network rebound to another graph: it
+// keeps the bucket storage when that totals at most limit events and
+// drops all of it otherwise, so a queue grown on a large graph is not
+// pinned by a small one.
+func (q *eventQueue) fit(limit int) {
+	q.Reset()
+	total := cap(q.cur)
+	for i := range q.later {
+		total += cap(q.later[i])
+	}
+	if total > limit {
+		*q = eventQueue{}
+	}
+}
+
 // sameInstantLess orders two events of one instant by (from, seq), the
 // tail of event.Less.
 //

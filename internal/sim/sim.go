@@ -405,7 +405,10 @@ type Network struct {
 	sendSeq    int64   // probe sequence: one per OnSend-visible transmission, dense 1..S
 	curCause   int64   // probe seq of the delivery being handled (0 during Init); SendEvent.Cause
 	lastArrive []int64 // directed-edge ID -> last scheduled arrival (FIFO) / busy-until (congested)
+	// nbr is the neighbor index: per-vertex, capacity-capped windows of
+	// nbrAll, its one backing slice, which bindGraph reuses.
 	nbr        [][]halfEdge
+	nbrAll     []halfEdge
 	msgs       []Message // in-flight payload arena, indexed by event.msgIdx
 	msgSeq     []int64   // arena slot -> probe sequence of the transmission; for timer slots, the scheduling event's cause (see ScheduleTimer)
 	msgFree    []int32   // free slots in msgs
@@ -441,7 +444,9 @@ type Network struct {
 // Network built on the same *graph.Graph, that instance is Reset and
 // returned instead of allocating a new one: its event queue, payload
 // arena, neighbor index and accounting slices are reused, so a sweep
-// of many runs over one substrate pays the construction cost once.
+// of many runs over one substrate pays the construction cost once. On
+// a miss a full pool rebinds its least recently released Network to g
+// instead (see Pool), so a run on a new graph reuses storage too.
 func NewNetwork(g *graph.Graph, procs []Process, opts ...Option) (*Network, error) {
 	if len(procs) != g.N() {
 		return nil, fmt.Errorf("sim: %d processes for %d vertices", len(procs), g.N())
@@ -452,7 +457,13 @@ func NewNetwork(g *graph.Graph, procs []Process, opts ...Option) (*Network, erro
 		o(n)
 	}
 	if n.pool != nil {
-		if cached := n.pool.take(g); cached != nil {
+		cached := n.pool.take(g)
+		if cached == nil {
+			if cached = n.pool.recycle(); cached != nil {
+				cached.bindGraph(g)
+			}
+		}
+		if cached != nil {
 			// Replay the option list onto the pooled instance. Options
 			// are pure setters (side effects run once, at finalize), so
 			// the probe application above configured nothing durable.
@@ -462,7 +473,7 @@ func NewNetwork(g *graph.Graph, procs []Process, opts ...Option) (*Network, erro
 			return cached, nil
 		}
 	}
-	n.initStorage()
+	n.bindGraph(g)
 	if err := n.finalize(); err != nil {
 		return nil, err
 	}
@@ -484,28 +495,79 @@ func (n *Network) setDefaults() {
 	n.pool = nil
 }
 
-// initStorage allocates the run-independent heavy state: event queue,
-// payload arena, neighbor index, accounting slices and per-node
-// contexts. Runs once per Network; Reset reuses all of it.
-func (n *Network) initStorage() {
-	g := n.g
-	n.lastArrive = make([]int64, 2*g.M())
-	n.traces = make(map[string][]TracePoint)
-	// Pre-sized for a few in-flight messages per edge; grows on demand.
-	n.msgs = make([]Message, 0, 2*g.M())
-	n.msgSeq = make([]int64, 0, 2*g.M())
-	n.stats.UsedEdges = make([]bool, g.M())
-	n.classes = make([]Class, 0, nClassHint)
-	n.classStats = make([]ClassStats, 0, nClassHint)
-	n.classIdx = make(map[Class]int, nClassHint)
-	for _, c := range [...]Class{ClassProto, ClassAck, ClassSync, ClassControl} {
-		n.internClass(c)
+// bindGraph sizes the graph-dependent storage for g: FIFO floors,
+// used-edge marks, payload arena, neighbor index, per-node contexts and
+// event queue. On a fresh Network it allocates all of it. On one a full
+// Pool recycles from another graph it keeps each buffer whose capacity
+// covers what g needs at most twice over and reallocates the others, so
+// a rebound network never pins much more storage than its new graph
+// warrants. A kept buffer is cleared after reslicing: nothing of the old
+// graph's run survives into the new one.
+func (n *Network) bindGraph(g *graph.Graph) {
+	n.g = g
+	nv, m2 := g.N(), 2*g.M()
+	n.lastArrive = fitLen(n.lastArrive, m2)
+	n.stats.UsedEdges = fitLen(n.stats.UsedEdges, g.M())
+	// The arena is pre-sized for a few in-flight messages per edge and
+	// grows on demand; its free list starts empty and grows with it.
+	n.msgs = fitCap(n.msgs, m2)
+	n.msgSeq = fitCap(n.msgSeq, m2)
+	if cap(n.msgFree) > 2*m2 {
+		n.msgFree = nil
+	}
+	n.msgFree = n.msgFree[:0]
+	n.queue.fit(2 * m2)
+	if n.traces == nil {
+		n.traces = make(map[string][]TracePoint)
+	}
+	if n.classIdx == nil {
+		n.classes = make([]Class, 0, nClassHint)
+		n.classStats = make([]ClassStats, 0, nClassHint)
+		n.classIdx = make(map[Class]int, nClassHint)
+		for _, c := range [...]Class{ClassProto, ClassAck, ClassSync, ClassControl} {
+			n.internClass(c)
+		}
 	}
 	n.buildNeighborIndex()
-	n.ctxs = make([]nodeCtx, g.N())
-	for v := range n.ctxs {
-		n.ctxs[v] = nodeCtx{net: n, id: graph.NodeID(v)}
+	// A node's RNG stream is re-seeded before every run that draws, so
+	// a kept one is as good as a new one; the tail past nv is cleared
+	// to let the streams of vertices g does not have go.
+	old := n.ctxs
+	if cap(old) < nv || cap(old) > 2*nv {
+		n.ctxs = make([]nodeCtx, nv)
+	} else {
+		n.ctxs = old[:nv]
 	}
+	for v := range n.ctxs {
+		var rng *rand.Rand
+		if v < len(old) {
+			rng = old[v].rng
+		}
+		n.ctxs[v] = nodeCtx{net: n, id: graph.NodeID(v), rng: rng}
+	}
+	clear(n.ctxs[nv:cap(n.ctxs)])
+}
+
+// fitLen returns buf resliced to length need and zeroed when its
+// capacity is at least need and at most twice need, else a new slice.
+func fitLen[T any](buf []T, need int) []T {
+	if cap(buf) < need || cap(buf) > 2*need {
+		return make([]T, need)
+	}
+	buf = buf[:need]
+	clear(buf)
+	return buf
+}
+
+// fitCap returns buf emptied, with its whole capacity zeroed, when that
+// capacity is at least hint and at most twice hint, else a new empty
+// slice of capacity hint.
+func fitCap[T any](buf []T, hint int) []T {
+	if cap(buf) < hint || cap(buf) > 2*hint {
+		return make([]T, 0, hint)
+	}
+	clear(buf[:cap(buf)])
+	return buf[:0]
 }
 
 // finalize acts on the configuration the Options recorded: it runs the
@@ -600,58 +662,39 @@ func (n *Network) resetRunState() {
 
 // buildNeighborIndex precomputes, for every vertex, its half-edges
 // sorted by neighbor, so send resolves a (from, to) pair by binary
-// search instead of an O(degree) adjacency scan. The index is built
-// with two stable counting passes straight off the edge list — O(n+m),
-// no comparison sort — and parallel edges keep edge-ID order, so the
-// leftmost match is the edge the old adjacency scan picked.
+// search instead of an O(degree) adjacency scan. It visits the
+// destinations in order and appends, for each, the halves arriving
+// there from each of its neighbors — O(n+m), no comparison sort, no
+// scratch. Adjacency lists are in edge-ID order, so parallel edges stay
+// ID-ordered and the leftmost match is the edge the old adjacency scan
+// picked. Every vertex's entries are a capacity-capped window of one
+// backing slice, which bindGraph reuses across graphs.
 func (n *Network) buildNeighborIndex() {
 	g := n.g
-	nv, m2 := g.N(), 2*g.M()
-	n.nbr = make([][]halfEdge, nv)
-
-	// dhalf is a directed half-edge during the build.
-	type dhalf struct {
-		from, to int32
-		w        int64
-		did      int32
-		eid      graph.EdgeID
+	nv := g.N()
+	n.nbr = fitLen(n.nbr, nv)
+	n.nbrAll = fitLen(n.nbrAll, 2*g.M())
+	at := 0
+	for v := range n.nbr {
+		d := g.Degree(graph.NodeID(v))
+		n.nbr[v] = n.nbrAll[at : at : at+d]
+		at += d
 	}
-
-	// Pass 1: counting sort all directed halves by destination. Edges
-	// are visited in ID order, so the sort's stability keeps parallel
-	// edges ID-ordered.
-	cnt := make([]int32, nv+1)
-	for _, e := range g.Edges() {
-		cnt[e.V+1]++ // half e.U -> e.V
-		cnt[e.U+1]++ // half e.V -> e.U
+	edges := g.Edges()
+	for to := 0; to < nv; to++ {
+		for _, h := range g.Adj(graph.NodeID(to)) {
+			// h leads from `to` to `from`; the half indexed here runs
+			// the other way. Its directed-edge slot is 2·ID when it
+			// runs from the edge's U endpoint, 2·ID+1 otherwise.
+			from := h.To
+			did := 2 * int32(h.ID)
+			if edges[h.ID].U != from {
+				did++
+			}
+			n.nbr[from] = append(n.nbr[from], halfEdge{to: graph.NodeID(to), w: h.W, did: did, eid: h.ID})
+		}
 	}
-	for v := 0; v < nv; v++ {
-		cnt[v+1] += cnt[v]
-	}
-	byTo := make([]dhalf, m2)
-	for i, e := range g.Edges() {
-		p := cnt[e.V]
-		cnt[e.V]++
-		byTo[p] = dhalf{from: int32(e.U), to: int32(e.V), w: e.W, did: 2 * int32(i), eid: e.ID}
-		p = cnt[e.U]
-		cnt[e.U]++
-		byTo[p] = dhalf{from: int32(e.V), to: int32(e.U), w: e.W, did: 2*int32(i) + 1, eid: e.ID}
-	}
-
-	// Pass 2: scatter the to-sorted halves into per-source buckets;
-	// each bucket receives its entries already sorted by destination.
-	pos := make([]int32, nv+1)
-	for v := 0; v < nv; v++ {
-		pos[v+1] = pos[v] + int32(g.Degree(graph.NodeID(v)))
-	}
-	backing := make([]halfEdge, m2)
-	for v := 0; v < nv; v++ {
-		n.nbr[v] = backing[pos[v]:pos[v+1]:pos[v+1]]
-	}
-	for _, d := range byTo {
-		backing[pos[d.from]] = halfEdge{to: graph.NodeID(d.to), w: d.w, did: d.did, eid: d.eid}
-		pos[d.from]++
-	}
+	n.fdownMarked = false
 }
 
 // internClass returns the dense ID for a class, allocating one on first
@@ -959,10 +1002,11 @@ func (n *Network) allocSlot(m Message, seq int64) int32 {
 // error.
 //
 // When the Network was built with WithPool, Run releases it back to
-// the pool after the run, so the next NewNetwork over the same graph
-// reuses its storage — which also means the returned *Stats is only
-// valid until that reuse; pooled callers must copy what they need
-// before starting another run from the same goroutine.
+// the pool after the run, so a later NewNetwork on that pool — over the
+// same graph, or over another once the pool is full — reuses its
+// storage. The returned *Stats is only valid until that reuse; pooled
+// callers must copy what they need before starting another run from
+// the same goroutine.
 func (n *Network) Run() (*Stats, error) {
 	if n.ran {
 		return nil, fmt.Errorf("sim: Run called twice on the same Network (use Reset to rerun)")

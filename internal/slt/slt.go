@@ -172,14 +172,25 @@ func RunDistributed(g *graph.Graph, v0 graph.NodeID, q int64, opts ...sim.Option
 	if q < 1 {
 		return nil, fmt.Errorf("slt: q must be >= 1, got %d", q)
 	}
+	// Each stage's counters are summed as soon as it returns: under
+	// WithPool a later stage may reuse the network an earlier stage's
+	// *sim.Stats points into.
+	res := &DistributedResult{}
+	add := func(s *sim.Stats) {
+		res.Stats.Messages += s.Messages
+		res.Stats.Comm += s.Comm
+		res.Stats.FinishTime += s.FinishTime // stages run sequentially
+	}
 	mstRes, err := basic.RunMSTCentr(g, v0, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("slt: MST stage: %w", err)
 	}
+	add(mstRes.Stats)
 	sptRes, err := basic.RunSPTCentr(g, v0, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("slt: SPT stage: %w", err)
 	}
+	add(sptRes.Stats)
 	tm := mstRes.Tree(g, v0)
 	ts := sptRes.Tree(g, v0)
 	_, info, err := build(g, v0, q, tm, ts)
@@ -190,13 +201,7 @@ func RunDistributed(g *graph.Graph, v0 graph.NodeID, q int64, opts ...sim.Option
 	if err != nil {
 		return nil, fmt.Errorf("slt: final SPT stage: %w", err)
 	}
-	finalTree := finalRes.Tree(info.GPrime, v0)
-
-	res := &DistributedResult{Tree: finalTree, Info: info}
-	for _, s := range []*sim.Stats{mstRes.Stats, sptRes.Stats, finalRes.Stats} {
-		res.Stats.Messages += s.Messages
-		res.Stats.Comm += s.Comm
-		res.Stats.FinishTime += s.FinishTime // stages run sequentially
-	}
+	add(finalRes.Stats)
+	res.Tree, res.Info = finalRes.Tree(info.GPrime, v0), info
 	return res, nil
 }

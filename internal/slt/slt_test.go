@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"costsense/internal/graph"
+	"costsense/internal/sim"
 )
 
 func checkSLT(t *testing.T, g *graph.Graph, v0 graph.NodeID, q int64) *graph.Tree {
@@ -117,7 +118,7 @@ func TestSLTProperty(t *testing.T) {
 		}
 		return tree.Spanning() && IsShallowLight(g, tree, q)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(24))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,6 +165,25 @@ func TestRunDistributedMatchesBounds(t *testing.T) {
 	}
 	if res.Stats.FinishTime > 10*dd*n*n {
 		t.Errorf("distributed SLT time %d > 10𝓓n² = %d", res.Stats.FinishTime, 10*dd*n*n)
+	}
+}
+
+// TestRunDistributedPooled: the three stages under one pool reuse one
+// network — the SPT stage hits the MST stage's, the final stage on G'
+// recycles it — so each stage's Stats must be read before the next
+// stage runs. The total then equals the unpooled one.
+func TestRunDistributedPooled(t *testing.T) {
+	g := graph.RandomConnected(25, 60, graph.UniformWeights(20, 11), 11)
+	want, err := RunDistributed(g, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunDistributed(g, 0, 2, sim.WithPool(sim.NewPool(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Messages != want.Stats.Messages || got.Stats.Comm != want.Stats.Comm || got.Stats.FinishTime != want.Stats.FinishTime {
+		t.Errorf("pooled stages sum to %+v, unpooled to %+v", got.Stats, want.Stats)
 	}
 }
 

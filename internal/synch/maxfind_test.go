@@ -87,7 +87,7 @@ func TestMaxFindProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(26))}); err != nil {
 		t.Fatal(err)
 	}
 }
