@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 )
@@ -114,7 +115,7 @@ func RandomConnected(n, m int, w WeightFn, seed int64) *Graph {
 	for p, v := range perm {
 		pos[v] = p
 	}
-	have := newPairSet(m)
+	have := newPairSet(min(m, maxPairs(n)))
 	addEdge := func(u, v NodeID) bool {
 		if u == v || !have.add(u, v) {
 			return false
@@ -290,6 +291,19 @@ func RandomRegular(n, d int, w WeightFn, seed int64) *Graph {
 type pairSet struct {
 	slots []uint64
 	shift uint8 // 64 - log2(len(slots)): the multiplicative hash keeps the top bits
+}
+
+// maxPairs returns n(n-1)/2, the number of unordered pairs of n
+// vertices, saturating at math.MaxInt instead of overflowing.
+func maxPairs(n int) int {
+	if n < 2 {
+		return 0
+	}
+	hi, lo := bits.Mul64(uint64(n), uint64(n-1))
+	if hi != 0 || lo/2 > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(lo / 2)
 }
 
 // newPairSet returns a set that holds up to max pairs at a load factor

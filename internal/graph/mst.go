@@ -2,7 +2,6 @@ package graph
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 
 	"costsense/internal/pq"
@@ -67,8 +66,7 @@ func Kruskal(g *Graph) []Edge {
 // byWeightThenID returns the edge IDs in (W, ID) order. When the
 // heaviest weight is at most countingSortSpan per edge it counting-sorts
 // by weight, which is stable, so equal weights keep ID order. Otherwise
-// it sorts W<<idBits|ID keys, which order the same way, and falls back
-// to a comparison sort only when such a key would overflow 64 bits.
+// it comparison-sorts the IDs by (W, ID).
 func byWeightThenID(edges []Edge) []int32 {
 	var maxW int64
 	for _, e := range edges {
@@ -86,18 +84,6 @@ func byWeightThenID(edges []Edge) []int32 {
 		for i, e := range edges {
 			ids[start[e.W]] = int32(i)
 			start[e.W]++
-		}
-		return ids
-	}
-	idBits := bits.Len(uint(len(edges)))
-	if bits.Len64(uint64(maxW))+idBits <= 64 {
-		keys := make([]uint64, len(edges))
-		for i, e := range edges {
-			keys[i] = uint64(e.W)<<idBits | uint64(i)
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			ids[i] = int32(k & (1<<idBits - 1))
 		}
 		return ids
 	}

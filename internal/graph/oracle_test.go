@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -72,9 +74,8 @@ func sortSliceKruskal(g *Graph) []Edge {
 }
 
 // oracleWeights are the weight families of the oracle corpus: the
-// counting-sort range (uniform, pow2, const), the packed-key range
-// (uniform up to 2^40) and the comparison-sort fallback (up to 2^62,
-// where a weight and an edge ID no longer pack into 64 bits).
+// counting-sort range (uniform, pow2, const) and the comparison-sort
+// range (uniform up to 2^62, far above 4 per edge).
 var oracleWeights = []struct {
 	name string
 	fn   func(seed int64) WeightFn
@@ -82,7 +83,6 @@ var oracleWeights = []struct {
 	{"uniform64", func(s int64) WeightFn { return UniformWeights(64, s) }},
 	{"pow2", func(s int64) WeightFn { return PowerOfTwoWeights(12, s) }},
 	{"const", func(int64) WeightFn { return ConstWeights(7) }},
-	{"uniform2^40", func(s int64) WeightFn { return UniformWeights(1<<40, s) }},
 	{"uniform2^62", func(s int64) WeightFn { return UniformWeights(1<<62, s) }},
 }
 
@@ -112,8 +112,8 @@ func TestRandomConnectedMatchesMapOracle(t *testing.T) {
 }
 
 // TestKruskalMatchesSortSliceOracle covers what RandomConnected never
-// makes: parallel edges, a forest, and heavy ties, through every one of
-// the three ordering paths.
+// makes: parallel edges, a forest, and heavy ties, through both
+// ordering paths.
 func TestKruskalMatchesSortSliceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 200; trial++ {
@@ -148,5 +148,39 @@ func TestBuildAdjacencyIsCapped(t *testing.T) {
 	_ = append(g.Adj(0), Half{To: 99})
 	if after := fmt.Sprint(g.Adj(1)); after != before {
 		t.Fatalf("append to vertex 0's list changed vertex 1's: %s -> %s", before, after)
+	}
+}
+
+// TestRandomConnectedPairSetIsBoundedByN: the pair set is sized by the
+// pairs the graph can hold, not by the requested m, so a huge m on two
+// vertices allocates a few slots rather than a table of 2m.
+func TestRandomConnectedPairSetIsBoundedByN(t *testing.T) {
+	if got := newPairSet(min(1<<20, maxPairs(2))); len(got.slots) != 2 {
+		t.Fatalf("pair set for n=2 m=2^20 has %d slots, want 2", len(got.slots))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := RandomConnected(2, 1<<20, UnitWeights(), 1)
+	runtime.ReadMemStats(&after)
+	if g.M() != 1 {
+		t.Fatalf("RandomConnected(2, 2^20) has %d edges, want 1", g.M())
+	}
+	// A set sized by m would be 2^21 slots, 16 MiB.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("RandomConnected(2, 2^20) allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
+// TestMaxPairsSaturates: n(n-1)/2 is exact where it fits and saturates
+// rather than wrapping where it does not.
+func TestMaxPairsSaturates(t *testing.T) {
+	for _, c := range []struct{ n, want int }{
+		{-1, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 3}, {4000, 4000 * 3999 / 2},
+		{1 << 32, 1<<63 - 1<<31}, {1 << 33, math.MaxInt}, {math.MaxInt, math.MaxInt},
+	} {
+		if got := maxPairs(c.n); got != c.want {
+			t.Errorf("maxPairs(%d) = %d, want %d", c.n, got, c.want)
+		}
 	}
 }

@@ -230,14 +230,15 @@ func (j *Job) status() JobStatus {
 }
 
 // complete moves the job to done; its result is already in the job
-// table (Server.retainResult).
-func (j *Job) complete() { j.finish(jobDone) }
+// table (Server.retainResult). logDone is as for finish.
+func (j *Job) complete(logDone func(*Job)) { j.finish(jobDone, logDone) }
 
 // fail moves the job to failed with a typed reason and human detail.
-func (j *Job) fail(reason, msg string) {
+// logDone is as for finish.
+func (j *Job) fail(reason, msg string, logDone func(*Job)) {
 	j.errMsg = msg
 	j.failReason = reason
-	j.finish(jobFailed)
+	j.finish(jobFailed, logDone)
 }
 
 // finish publishes a terminal state. The terminal progress line and
@@ -245,10 +246,15 @@ func (j *Job) fail(reason, msg string) {
 // never ends without the terminal line and never shows it before
 // finished is closed; and the state store precedes both, so whoever
 // has seen the job terminal — on a stream or in a status poll — can
-// fetch its result at once (handleResult goes by the state).
-func (j *Job) finish(state int32) {
+// fetch its result at once (handleResult goes by the state). logDone,
+// when not nil, runs between the two, so the terminal log record is
+// written by the time finished closes.
+func (j *Job) finish(state int32, logDone func(*Job)) {
 	j.finishedAt.Store(nowUnixNano())
 	j.state.Store(state)
+	if logDone != nil {
+		logDone(j)
+	}
 	line := j.statusLine()
 	j.pmu.Lock()
 	j.plines = append(j.plines, line)
@@ -598,7 +604,7 @@ func (s *Server) failUnfinished() {
 	}
 	s.mu.Unlock()
 	for _, j := range pending {
-		j.fail(ReasonShutdown, "server shut down before the job finished")
+		j.fail(ReasonShutdown, "server shut down before the job finished", nil)
 	}
 }
 
@@ -628,8 +634,7 @@ func (s *Server) deadlineFor(spec Spec) time.Duration {
 // failJob journals and publishes a job's failure.
 func (s *Server) failJob(j *Job, reason, msg string) {
 	s.journalAppend(journalRecord{Op: opFailed, Job: j.id, Reason: reason, Detail: msg}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
-	j.fail(reason, msg)
-	s.logJobDone(j)
+	j.fail(reason, msg, s.logJobDone)
 }
 
 // runJob executes one admitted job on the calling runner: journal the
@@ -709,8 +714,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.mu.Lock()
 	s.retainResult(j, body)
 	s.mu.Unlock()
-	j.complete()
-	s.logJobDone(j)
+	j.complete(s.logJobDone)
 }
 
 // logJobDone emits the terminal job record: state, trial count, run
