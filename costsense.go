@@ -119,7 +119,6 @@ var (
 	Caterpillar       = graph.Caterpillar
 	RandomConnected   = graph.RandomConnected
 	RandomRegular     = graph.RandomRegular
-	BigFlood          = graph.BigFlood
 	BinaryTree        = graph.BinaryTree
 	HardConnectivity  = graph.HardConnectivity
 	HeavyChordRing    = graph.HeavyChordRing
@@ -127,7 +126,6 @@ var (
 	UnitWeights       = graph.UnitWeights
 	ConstWeights      = graph.ConstWeights
 	UniformWeights    = graph.UniformWeights
-	UniformWeightsIn  = graph.UniformWeightsIn
 	PowerOfTwoWeights = graph.PowerOfTwoWeights
 )
 
@@ -198,12 +196,6 @@ var (
 	// the link model behind the congestion factors in the paper's time
 	// bounds.
 	WithCongestion = sim.WithCongestion
-	// WithShards runs the deterministic sharded engine on k worker
-	// goroutines; results are byte-identical to the serial engine.
-	WithShards = sim.WithShards
-	// WithShardAssignment pins an explicit vertex -> shard map instead
-	// of the built-in cluster partitioner.
-	WithShardAssignment = sim.WithShardAssignment
 	// NewPool builds a network pool for sweeps: WithPool(p) recycles a
 	// finished Network's allocations into the next run on the same
 	// graph — or, once the pool is full, on another graph — with

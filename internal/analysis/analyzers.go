@@ -2,13 +2,13 @@ package analysis
 
 // All returns the costsense-vet analyzer suite in reporting order:
 // the determinism pair, the allocation pair (intra- then
-// interprocedural), the retention/synchronization pair, and the v2
+// interprocedural), the retention check, and the v2
 // concurrency/lifecycle trio built on the effect summaries.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Detmap, Detsource,
 		Hotpathalloc, Hotpathtrans,
-		Arenaref, Shardsync,
+		Arenaref,
 		Lockguard, Ctxflow, Errflow,
 	}
 }

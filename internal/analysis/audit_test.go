@@ -61,7 +61,7 @@ func TestSelfHostAudit(t *testing.T) {
 			}
 		}
 	}
-	for _, verb := range []string{"nondet-ok", "alloc-ok", "ctx-ok", "err-ok", "lock-ok", "shardbarrier"} {
+	for _, verb := range []string{"nondet-ok", "alloc-ok", "ctx-ok", "err-ok", "lock-ok"} {
 		if report.ByVerb[verb] == 0 {
 			t.Errorf("expected at least one %s directive in the tree", verb)
 		}
@@ -79,7 +79,7 @@ func TestSelfHostAudit(t *testing.T) {
 // TestAuditProblems checks that the three problem classes are detected
 // on a planted package: a suppression nothing consults is stale, a
 // bare suppression is unjustified, and an unrecognized verb is
-// unknown. The justified shardbarrier marker stays healthy.
+// unknown.
 func TestAuditProblems(t *testing.T) {
 	moduleRoot, err := filepath.Abs("../..")
 	if err != nil {
@@ -122,8 +122,5 @@ func TestAuditProblems(t *testing.T) {
 	}
 	if d := byVerb["frobnicate"]; d.Kind != "unknown" {
 		t.Errorf("frobnicate kind = %q, want unknown", d.Kind)
-	}
-	if d := byVerb["shardbarrier"]; d.Kind != "marker" || d.Stale || d.Unjustified {
-		t.Errorf("shardbarrier: kind=%q stale=%v unjustified=%v, want healthy marker", d.Kind, d.Stale, d.Unjustified)
 	}
 }

@@ -29,8 +29,7 @@ import (
 //     shutdown cannot reach it.
 //
 // The analyzer is restricted to the three subtrees via Match — the
-// simulator's sharded engine synchronizes with phase barriers and
-// owns its termination proof (shardsync), and protocol code never
+// simulator runs on its caller's goroutine, and protocol code never
 // spawns.
 var Ctxflow = &Analyzer{
 	Name:     "ctxflow",

@@ -48,7 +48,3 @@ func TestScope(t *testing.T) {
 		}
 	}
 }
-
-func TestShardsync(t *testing.T) {
-	analysistest.Run(t, analysis.Shardsync, "shardsync")
-}

@@ -1,7 +1,7 @@
 // Package audittest is fodder for TestAuditProblems: it plants one
 // directive of each problem class — a stale suppression (nothing here
 // triggers detsource, so no analyzer consults it), an unjustified bare
-// suppression, an unknown verb — plus one healthy justified marker.
+// suppression and an unknown verb.
 package audittest
 
 func quiet() int {
@@ -13,8 +13,3 @@ func quiet() int {
 	c := 3
 	return a + b + c
 }
-
-// barrier is a healthy, justified marker: inventoried, never stale.
-//
-//costsense:shardbarrier test: all workers joined on the line above
-func barrier() { quiet() }

@@ -121,19 +121,15 @@ func TestPartitionProperty(t *testing.T) {
 }
 
 // TestPartitionGrowthBalance characterizes the cluster-size
-// distribution NewPartitionGrowth produces on random connected graphs —
-// the input the sharded engine's partitioner (internal/sim) bin-packs
-// onto workers. Two regimes, both pinned here because the engine's
-// fallback logic depends on them:
+// distribution NewPartitionGrowth produces on random connected graphs
+// (the partition synchronizer γ_w builds per weight level). Two
+// regimes, both pinned here:
 //
 //   - Sparse (m ~ 1.5n): the BFS growing stops early and often, so
 //     there are plenty of clusters and the largest stays a bounded
-//     fraction of the graph — LPT packing onto a handful of shards is
-//     balanced.
-//   - Dense (m >> n): the diameter is tiny, the first cluster swallows
-//     a majority of the vertices, and no packing of whole clusters can
-//     balance — the engine must take its contiguous-split fallback
-//     (exercised by TestShardedDegeneratePartitions in internal/sim).
+//     fraction of the graph.
+//   - Dense (m >> n): the diameter is tiny, and the first cluster
+//     swallows a majority of the vertices.
 func TestPartitionGrowthBalance(t *testing.T) {
 	largest := func(p *Partition) int {
 		size := make([]int, p.NumClusters())
@@ -163,10 +159,10 @@ func TestPartitionGrowthBalance(t *testing.T) {
 		g := graph.RandomConnected(c.n, c.m, graph.UniformWeights(64, c.seed), c.seed)
 		p := NewPartitionGrowth(g, 2)
 		if nc := p.NumClusters(); nc < 8 {
-			t.Errorf("sparse n=%d m=%d seed=%d: %d clusters, want >= 8 for sharding", c.n, c.m, c.seed, nc)
+			t.Errorf("sparse n=%d m=%d seed=%d: %d clusters, want >= 8", c.n, c.m, c.seed, nc)
 		}
 		if max := largest(p); 5*max > 3*c.n {
-			t.Errorf("sparse n=%d m=%d seed=%d: largest cluster %d of %d vertices — too dominant to pack", c.n, c.m, c.seed, max, c.n)
+			t.Errorf("sparse n=%d m=%d seed=%d: largest cluster %d of %d vertices — too dominant", c.n, c.m, c.seed, max, c.n)
 		}
 	}
 
@@ -181,28 +177,7 @@ func TestPartitionGrowthBalance(t *testing.T) {
 		g := graph.RandomConnected(c.n, c.m, graph.UniformWeights(64, c.seed), c.seed)
 		p := NewPartitionGrowth(g, 2)
 		if max := largest(p); 2*max <= c.n {
-			t.Errorf("dense n=%d m=%d seed=%d: largest cluster %d of %d — expected a dominant cluster (fallback regime)", c.n, c.m, c.seed, max, c.n)
-		}
-	}
-}
-
-// ClusterGrowth is NewPartitionGrowth minus the tree/preferred-edge
-// materialization; the assignment itself must be bit-for-bit the same
-// map, cluster indices included.
-func TestClusterGrowthMatchesPartition(t *testing.T) {
-	for _, f := range []int{2, 3} {
-		for _, tc := range []struct{ n, m int }{{1, 0}, {2, 1}, {60, 90}, {200, 300}, {200, 800}, {317, 1000}} {
-			g := graph.RandomConnected(tc.n, tc.m, graph.UniformWeights(32, int64(tc.n)), int64(7*tc.n+f))
-			want := NewPartitionGrowth(g, f)
-			got, nc := ClusterGrowth(g, f)
-			if nc != want.NumClusters() {
-				t.Fatalf("f=%d n=%d m=%d: %d clusters, partition has %d", f, tc.n, tc.m, nc, want.NumClusters())
-			}
-			for v, c := range got {
-				if c != want.ClusterOf[v] {
-					t.Fatalf("f=%d n=%d m=%d: vertex %d in cluster %d, partition says %d", f, tc.n, tc.m, v, c, want.ClusterOf[v])
-				}
-			}
+			t.Errorf("dense n=%d m=%d seed=%d: largest cluster %d of %d — expected a dominant cluster", c.n, c.m, c.seed, max, c.n)
 		}
 	}
 }

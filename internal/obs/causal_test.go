@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"costsense/internal/graph"
@@ -242,41 +241,6 @@ func TestCausalExportsByteIdentical(t *testing.T) {
 					t.Errorf("path CSV header has %d columns, want 14: %s", n, header)
 				}
 			})
-		}
-	}
-}
-
-// TestShardedCausalExportsByteIdentical extends the sharded engine's
-// byte-identity contract to the causal layer: the probe replay must
-// resolve causal parents to the same dense sequence numbers the serial
-// engine assigns, so a WithShards run exports the identical critical
-// path — clean and faulty, every delay model.
-func TestShardedCausalExportsByteIdentical(t *testing.T) {
-	for _, c := range obsCases() {
-		for _, faulty := range []bool{false, true} {
-			for _, shards := range []int{2, 4} {
-				c, faulty, shards := c, faulty, shards
-				name := fmt.Sprintf("%s/shards=%d", c.name, shards)
-				if faulty {
-					name += "/faulty"
-				}
-				t.Run(name, func(t *testing.T) {
-					var common []sim.Option
-					if faulty {
-						g := graph.RandomConnected(40, 120, graph.UniformWeights(32, 7), 7)
-						opt, _ := reliable.Install(reliable.Config{})
-						common = []sim.Option{opt, sim.WithFaults(faultyPlan(g)), sim.WithEventLimit(5_000_000)}
-					}
-					sj, sc := causalPair(t, c, common...)
-					pj, pc := causalPair(t, c, append(common, sim.WithShards(shards))...)
-					if !bytes.Equal(sj, pj) {
-						t.Error("sharded critical-path JSON differs from serial")
-					}
-					if !bytes.Equal(sc, pc) {
-						t.Error("sharded critical-path CSV differs from serial")
-					}
-				})
-			}
 		}
 	}
 }

@@ -1,12 +1,8 @@
-// Package pq provides a concrete generic d-ary min-heap shared by the
-// centralized graph algorithms (Dijkstra, Prim) and the sharded
-// simulator engine's per-shard event queues. The serial engine's queue
-// is not this heap: its pushes are always later than the event being
-// delivered, and internal/sim's eventQueue is built on that. A shard's
-// queue has no such guarantee — mail from other shards arrives between
-// windows at times below the shard's own next event, and the window
-// loop reads the minimum with Peek before deciding to pop it — so it
-// keeps the general heap.
+// Package pq provides a concrete generic d-ary min-heap for the
+// centralized graph algorithms (Dijkstra, Prim). The simulator's event
+// queue is not this heap: its pushes are always later than the event
+// being delivered, and internal/sim's eventQueue is built on that; its
+// tests use Heap as the ordering oracle.
 //
 // It replaces container/heap in those paths: container/heap moves
 // elements through `any`, which boxes every Push argument (one

@@ -22,33 +22,27 @@ func getOrBuild(t *testing.T, c *Cache, key string, build func() *Substrate) (*S
 	return sub, hit
 }
 
-func testSubstrate(t *testing.T, n int, shards int) *Substrate {
+func testSubstrate(t *testing.T, n int) *Substrate {
 	t.Helper()
-	s := Spec{Experiment: "flood", Graph: GraphSpec{Family: "ring", N: n}, Shards: shards}
+	s := Spec{Experiment: "flood", Graph: GraphSpec{Family: "ring", N: n}}
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	return buildSubstrate(s.SubstrateKey(), s.Graph, s.Shards)
+	return buildSubstrate(s.SubstrateKey(), s.Graph)
 }
 
 func TestSubstrateDerivedArtifacts(t *testing.T) {
-	s := testSubstrate(t, 8, 4)
+	s := testSubstrate(t, 8)
 	// A unit-weight ring: 𝓔 = n, 𝓥 = n-1.
 	if s.TotalWeight() != 8 || s.MSTWeight() != 7 {
 		t.Fatalf("ring weights: 𝓔=%d 𝓥=%d, want 8/7", s.TotalWeight(), s.MSTWeight())
-	}
-	if len(s.ShardAssignment()) != 8 {
-		t.Fatalf("shard assignment has %d entries, want 8", len(s.ShardAssignment()))
-	}
-	if testSubstrate(t, 8, 0).ShardAssignment() != nil {
-		t.Fatal("serial substrate should have no shard assignment")
 	}
 }
 
 func TestCacheHitAndMiss(t *testing.T) {
 	c := NewCache(1 << 20)
 	builds := 0
-	build := func() *Substrate { builds++; return testSubstrate(t, 8, 0) }
+	build := func() *Substrate { builds++; return testSubstrate(t, 8) }
 	a, hit := getOrBuild(t, c, "k1", build)
 	if hit || builds != 1 {
 		t.Fatalf("first get: hit=%v builds=%d, want miss/1", hit, builds)
@@ -66,10 +60,10 @@ func TestCacheHitAndMiss(t *testing.T) {
 // LRU eviction: filling past the byte budget drops the least recently
 // used entry, and a Get refreshes recency.
 func TestCacheEviction(t *testing.T) {
-	one := testSubstrate(t, 8, 0)
+	one := testSubstrate(t, 8)
 	c := NewCache(one.Bytes()*2 + one.Bytes()/2) // room for two entries
 	get := func(key string) (*Substrate, bool) {
-		return getOrBuild(t, c, key, func() *Substrate { return testSubstrate(t, 8, 0) })
+		return getOrBuild(t, c, key, func() *Substrate { return testSubstrate(t, 8) })
 	}
 	get("a")
 	get("b")
@@ -92,7 +86,7 @@ func TestCacheEviction(t *testing.T) {
 // newest entry is never evicted).
 func TestCacheOversizedEntry(t *testing.T) {
 	c := NewCache(1) // absurdly small
-	s, hit := getOrBuild(t, c, "big", func() *Substrate { return testSubstrate(t, 8, 0) })
+	s, hit := getOrBuild(t, c, "big", func() *Substrate { return testSubstrate(t, 8) })
 	if s == nil || hit {
 		t.Fatalf("oversized build: sub=%v hit=%v", s, hit)
 	}
@@ -106,8 +100,8 @@ func TestCacheOversizedEntry(t *testing.T) {
 // stop being a function of the spec.
 func TestCacheVerifyPanicsOnMutation(t *testing.T) {
 	c := NewCache(1 << 20)
-	s, _ := getOrBuild(t, c, "k", func() *Substrate { return testSubstrate(t, 8, 4) })
-	s.ShardAssignment()[3] = 0 // the forbidden write
+	s, _ := getOrBuild(t, c, "k", func() *Substrate { return testSubstrate(t, 8) })
+	s.Graph().Edges()[3].W++ // the forbidden write
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -131,7 +125,7 @@ func TestCacheConcurrentSameKeyBuildsOnce(t *testing.T) {
 		builds++ // unsynchronized on purpose: -race fails the test if two builds ever run
 		close(building)
 		<-release
-		return testSubstrate(t, 8, 0)
+		return testSubstrate(t, 8)
 	}
 	const callers = 4
 	subs := make([]*Substrate, callers)
@@ -170,7 +164,7 @@ func TestCacheConcurrentSameKeyBuildsOnce(t *testing.T) {
 // lock the other needs, and neither do Stats or a hit on a third key.
 func TestCacheBuildsOfDifferentKeysOverlap(t *testing.T) {
 	c := NewCache(1 << 20)
-	getOrBuild(t, c, "warm", func() *Substrate { return testSubstrate(t, 8, 0) })
+	getOrBuild(t, c, "warm", func() *Substrate { return testSubstrate(t, 8) })
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -179,13 +173,13 @@ func TestCacheBuildsOfDifferentKeysOverlap(t *testing.T) {
 		if _, _, err := c.GetOrBuild(context.Background(), "slow", func() *Substrate {
 			close(parked)
 			<-release
-			return testSubstrate(t, 8, 0)
+			return testSubstrate(t, 8)
 		}); err != nil {
 			t.Error(err)
 		}
 	}()
 	<-parked
-	if _, hit := getOrBuild(t, c, "fast", func() *Substrate { return testSubstrate(t, 8, 0) }); hit {
+	if _, hit := getOrBuild(t, c, "fast", func() *Substrate { return testSubstrate(t, 8) }); hit {
 		t.Fatal("first get of a key reported a hit")
 	}
 	if _, hit := getOrBuild(t, c, "warm", nil); !hit {
@@ -213,7 +207,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 		c.GetOrBuild(context.Background(), "k", func() *Substrate {
 			close(parked)
 			<-release
-			return testSubstrate(t, 8, 0)
+			return testSubstrate(t, 8)
 		})
 	}()
 	<-parked
@@ -251,7 +245,7 @@ func TestCachePanickingBuildReleasesWaiters(t *testing.T) {
 	}
 	waiter := make(chan got, 1)
 	go func() {
-		sub, hit, err := c.GetOrBuild(context.Background(), "k", func() *Substrate { return testSubstrate(t, 8, 0) })
+		sub, hit, err := c.GetOrBuild(context.Background(), "k", func() *Substrate { return testSubstrate(t, 8) })
 		if err != nil {
 			t.Error(err)
 		}
@@ -279,9 +273,9 @@ func TestCachePanickingBuildReleasesWaiters(t *testing.T) {
 
 // TestFingerprintIsFNV1a: the inline fingerprint loop is FNV-1a over
 // each value's eight little-endian bytes, value for value what
-// hash/fnv computes, on a substrate with a shard assignment.
+// hash/fnv computes.
 func TestFingerprintIsFNV1a(t *testing.T) {
-	s := testSubstrate(t, 64, 4)
+	s := testSubstrate(t, 64)
 	h := fnv.New64a()
 	word := func(v int64) {
 		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
@@ -292,9 +286,6 @@ func TestFingerprintIsFNV1a(t *testing.T) {
 		word(int64(e.U))
 		word(int64(e.V))
 		word(e.W)
-	}
-	for _, sh := range s.shardOf {
-		word(int64(sh))
 	}
 	word(s.totalWeight)
 	word(s.mstWeight)

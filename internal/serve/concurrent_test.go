@@ -37,7 +37,7 @@ func soloResult(t *testing.T, spec Spec) []byte {
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	sub := buildSubstrate(spec.SubstrateKey(), spec.Graph, spec.Shards)
+	sub := buildSubstrate(spec.SubstrateKey(), spec.Graph)
 	body, err := runSpec(context.Background(), soloWorkers(t), spec, sub, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +452,7 @@ func TestDrainCutsSubstrateWaitShort(t *testing.T) {
 		s.Cache().GetOrBuild(context.Background(), spec.SubstrateKey(), func() *Substrate {
 			close(parked)
 			<-release
-			return buildSubstrate(spec.SubstrateKey(), spec.Graph, spec.Shards)
+			return buildSubstrate(spec.SubstrateKey(), spec.Graph)
 		})
 	}()
 	<-parked

@@ -66,7 +66,7 @@ func sweepParts(tb testing.TB, spec Spec) (Spec, SubstrateInfo, Aggregate, []Tri
 	if err := spec.Normalize(); err != nil {
 		tb.Fatal(err)
 	}
-	sub := buildSubstrate(spec.SubstrateKey(), spec.Graph, spec.Shards)
+	sub := buildSubstrate(spec.SubstrateKey(), spec.Graph)
 	rows, metrics, err := runSweep(context.Background(), soloWorkers(tb), spec, sub, nil)
 	if err != nil {
 		tb.Fatal(err)

@@ -253,6 +253,13 @@ func applyRecord(tracks map[string]*jobTrack, order *[]string, r *journalRecord)
 			return fmt.Errorf("submitted record for %s carries no spec", r.Job)
 		}
 		spec := *r.Spec
+		if spec.Shards > 1 {
+			// Written before the sharded engine was removed. It was
+			// byte-identical to the serial engine, so the job runs
+			// serially; Normalize would reject the old value and stop
+			// recovery.
+			spec.Shards = 0
+		}
 		if err := spec.Normalize(); err != nil {
 			return fmt.Errorf("submitted record for %s carries an invalid spec: %v", r.Job, err)
 		}

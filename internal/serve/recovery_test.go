@@ -161,6 +161,73 @@ func TestRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRecoverySharded: testdata/sharded-v1.journal was written by a
+// server that still had the sharded engine. job-000001 ran with
+// shards 4 to the end; job-000002 (also shards 4) was submitted and
+// started, then the server died. Opening it must not fail on the
+// removed option: the finished job keeps its journaled bytes, and the
+// unfinished one re-runs serially to the result a fresh serial
+// submission of the same spec gets. The old engine was byte-identical
+// to the serial one, so job-000001's trial rows match a serial run.
+func TestRecoverySharded(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "sharded-v1.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var finished journalRecord
+	if err := json.Unmarshal(bytes.Split(data, []byte("\n"))[2], &finished); err != nil || finished.Op != opFinished {
+		t.Fatalf("third record: op %q, err %v", finished.Op, err)
+	}
+
+	s, err := openOnBytes(t, data)
+	if err != nil {
+		t.Fatalf("Open on a journal with sharded jobs: %v", err)
+	}
+	s.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+	j1 := s.job("job-000001")
+	if j1 == nil || j1.state.Load() != jobDone || string(j1.result) != finished.Result {
+		t.Fatal("finished sharded job not restored with its journaled bytes")
+	}
+	waitDone(t, s, "job-000002")
+	j2 := s.job("job-000002")
+	if st := j2.status(); st.State != "done" || !st.Recovered {
+		t.Fatalf("recovered sharded job state=%s recovered=%v error=%q", st.State, st.Recovered, st.Error)
+	}
+
+	ref, refTS := testServer(t, Config{})
+	serial := func(spec Spec) []byte {
+		t.Helper()
+		code, out, _ := postSpec(t, refTS, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("reference submit: status %d (%v)", code, out)
+		}
+		id := out["id"].(string)
+		waitDone(t, ref, id)
+		return fetchResult(t, refTS, id)
+	}
+	ring := GraphSpec{Family: "ring", N: 6}
+	if want := serial(Spec{Experiment: "flood", Graph: ring, Trials: 2, Seed: 3}); !bytes.Equal(j2.result, want) {
+		t.Fatalf("recovered sharded job differs from a serial run:\n got %s\nwant %s", j2.result, want)
+	}
+	var got, want struct {
+		Trials json.RawMessage `json:"trials"`
+	}
+	if err := json.Unmarshal(j1.result, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(serial(Spec{Experiment: "ghs", Graph: ring, Trials: 2}), &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Trials, want.Trials) {
+		t.Fatalf("sharded trial rows differ from serial:\n got %s\nwant %s", got.Trials, want.Trials)
+	}
+}
+
 // TestRecoveryRestoresFailedJobs: a journaled failure (here: killed by
 // a second SIGTERM) is reported on the next start, reason intact, not
 // re-run.

@@ -341,9 +341,6 @@ func runSweep(ctx context.Context, ws *harness.Workers[*trialWorker], spec Spec,
 			if spec.EventLimit > 0 {
 				opts = append(opts, sim.WithEventLimit(spec.EventLimit))
 			}
-			if spec.Shards > 1 {
-				opts = append(opts, sim.WithShardAssignment(sub.ShardAssignment()))
-			}
 			if spec.Faults != nil {
 				rel, _ := reliable.Install(reliable.Config{})
 				opts = append(opts, sim.WithFaults(plan), rel)

@@ -656,7 +656,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.journalAppend(journalRecord{Op: opStarted, Job: j.id}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
 	key := j.spec.SubstrateKey()
 	sub, hit, err := s.cache.GetOrBuild(ctx, key, func() *Substrate {
-		return buildSubstrate(key, j.spec.Graph, j.spec.Shards)
+		return buildSubstrate(key, j.spec.Graph)
 	})
 	if err != nil { // the drain deadline passed while another job was building this substrate
 		s.failJob(j, ReasonShutdown, "drain cut the job off before its substrate was built")

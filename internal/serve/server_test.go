@@ -149,22 +149,30 @@ func TestResultBytesIdenticalAcrossSubmissions(t *testing.T) {
 	}
 }
 
-// Sharded specs must produce the same trial rows as serial ones (the
-// engines are byte-identical); only the substrate key differs.
+// TestShardedMatchesSerial: a spec asking for more than one shard is
+// refused at submission, because the sharded engine was removed, and
+// the 400 says so. One shard is the serial engine: it is still
+// accepted, and its trial rows are byte-identical to a shards-0 job's.
 func TestShardedMatchesSerial(t *testing.T) {
 	s, ts := testServer(t, Config{})
-	type variant struct{ shards int }
+	spec := validSpec()
+	spec.Experiment = "ghs"
+	spec.Shards = 4
+	code, out, _ := postSpec(t, ts, spec)
+	if code != http.StatusBadRequest || !strings.Contains(out["error"].(string), "sharded engine was removed") {
+		t.Fatalf("shards 4: %d %v, want 400 naming the removal", code, out)
+	}
 	var rows [2]json.RawMessage
-	for i, v := range []variant{{0}, {4}} {
-		spec := validSpec()
-		spec.Experiment = "ghs"
-		spec.Shards = v.shards
-		_, out, _ := postSpec(t, ts, spec)
+	for i, shards := range []int{0, 1} {
+		spec.Shards = shards
+		code, out, _ := postSpec(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("shards %d: %d %v, want 202", shards, code, out)
+		}
 		id := out["id"].(string)
 		waitDone(t, s, id)
 		var res struct {
-			Trials    json.RawMessage `json:"trials"`
-			Aggregate json.RawMessage `json:"aggregate"`
+			Trials json.RawMessage `json:"trials"`
 		}
 		if err := json.Unmarshal(fetchResult(t, ts, id), &res); err != nil {
 			t.Fatal(err)
@@ -172,7 +180,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		rows[i] = res.Trials
 	}
 	if !bytes.Equal(rows[0], rows[1]) {
-		t.Fatal("sharded trial rows differ from serial")
+		t.Fatal("one-shard trial rows differ from serial")
 	}
 }
 

@@ -3,8 +3,8 @@
 // them on a bounded job queue with backpressure, runs their trials on
 // the harness worker pool with pooled per-worker simulator state, and
 // caches immutable substrates (generated graphs plus their derived
-// artifacts — 𝓔, 𝓥, shard partitions) in a content-addressed LRU
-// store, so a thousand-trial sweep builds its substrate once.
+// artifacts — 𝓔 and 𝓥) in a content-addressed LRU store, so a
+// thousand-trial sweep builds its substrate once.
 //
 // Results are a pure function of the spec: two submissions of the same
 // spec return byte-identical result JSON, whether or not the second
@@ -40,9 +40,10 @@ type Spec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Root is the root/source vertex for rooted experiments.
 	Root int `json:"root,omitempty"`
-	// Shards > 1 runs trials on the sharded engine with the cached
-	// shard assignment of the substrate (results are byte-identical
-	// to serial).
+	// Shards must be 0 or 1, both meaning the one (serial) engine; it
+	// normalizes to 0. Values above 1 once selected a sharded engine,
+	// which was removed: Normalize rejects them, and journal replay
+	// maps them to 0 (see applyRecord).
 	Shards int `json:"shards,omitempty"`
 	// EventLimit overrides the per-run event budget (default: the
 	// simulator's 50M).
@@ -60,8 +61,8 @@ type Spec struct {
 }
 
 // GraphSpec names a deterministic graph generator and its parameters.
-// Together with the shard count it is the substrate cache key: two
-// specs with equal normalized GraphSpecs share one cached graph.
+// It is the substrate cache key: two specs with equal normalized
+// GraphSpecs share one cached graph.
 type GraphSpec struct {
 	// Family is the generator: path, ring, star, complete, grid,
 	// random, hard, heavychord.
@@ -121,10 +122,9 @@ type FaultSpec struct {
 // per job, not correctness: a sweep larger than MaxTrials is split by
 // the caller into several jobs.
 const (
-	MaxTrials     = 100_000
-	maxVertices   = 2_000_000
-	maxEdges      = 20_000_000
-	maxShardCount = 1024
+	MaxTrials   = 100_000
+	maxVertices = 2_000_000
+	maxEdges    = 20_000_000
 )
 
 // experimentKinds names the runnable protocols.
@@ -164,12 +164,10 @@ func (s *Spec) Normalize() error {
 	if s.Root < 0 || s.Root >= n {
 		return fmt.Errorf("root %d out of range [0, %d)", s.Root, n)
 	}
-	if s.Shards < 0 || s.Shards > maxShardCount {
-		return fmt.Errorf("shards %d out of range [0, %d]", s.Shards, maxShardCount)
+	if s.Shards < 0 || s.Shards > 1 {
+		return fmt.Errorf("shards %d: the sharded engine was removed; shards must be 0 or 1 (serial)", s.Shards)
 	}
-	if s.Shards == 1 {
-		s.Shards = 0 // 1 shard is the serial engine; canonicalize
-	}
+	s.Shards = 0 // 0 and 1 both name the serial engine; canonicalize
 	if s.EventLimit < 0 {
 		return fmt.Errorf("event_limit must be >= 0")
 	}
@@ -344,15 +342,15 @@ func (g GraphSpec) Build() *graph.Graph {
 
 // SubstrateKey derives the content address of the substrate this spec
 // runs on: SHA-256 over the canonical JSON of the normalized graph
-// spec plus the shard count (the shard partition is a cached derived
-// artifact, so substrates with different shard counts are distinct
-// entries). Equal sweeps — whatever their trial counts, seeds, delay
+// spec plus a "shards" member that is always 0, kept so that keys
+// match the ones journals and caches recorded while a sharded engine
+// existed. Equal sweeps — whatever their trial counts, seeds, delay
 // models or fault plans — share one substrate.
 func (s *Spec) SubstrateKey() string {
 	material, err := json.Marshal(struct {
 		Graph  GraphSpec `json:"graph"`
 		Shards int       `json:"shards"`
-	}{s.Graph, s.Shards})
+	}{Graph: s.Graph})
 	if err != nil {
 		panic(fmt.Sprintf("serve: marshalling substrate key material: %v", err))
 	}

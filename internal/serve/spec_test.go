@@ -65,12 +65,22 @@ func TestNormalizeRejects(t *testing.T) {
 
 // Substrate keys must identify graph content, not incidental spec
 // fields: trials/seed/delay/faults don't affect the key, graph params
-// and shard count do, and irrelevant family parameters are
-// canonicalized away.
+// do, and irrelevant family parameters are canonicalized away. The
+// key bytes are pinned: journals and caches written while a sharded
+// engine existed keyed the same substrates the same way. shards > 1
+// no longer keys a distinct substrate; Normalize rejects it.
 func TestSubstrateKey(t *testing.T) {
 	base := validSpec()
 	if err := base.Normalize(); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := base.SubstrateKey(), "9a3a330651a404b214b04810a882686f9bfdab3719202d6d8ccdeeb7afaba101"; got != want {
+		t.Errorf("substrate key %s, want %s", got, want)
+	}
+	sharded := validSpec()
+	sharded.Shards = 4
+	if err := sharded.Normalize(); err == nil || !strings.Contains(err.Error(), "sharded engine was removed") {
+		t.Errorf("shards 4: Normalize err = %v, want the removal named", err)
 	}
 	key := func(mut func(*Spec)) string {
 		s := validSpec()
@@ -99,7 +109,6 @@ func TestSubstrateKey(t *testing.T) {
 		"graph seed": func(s *Spec) { s.Graph.Seed = 8 },
 		"weights":    func(s *Spec) { s.Graph.Weights.Max = 64 },
 		"family":     func(s *Spec) { s.Graph = GraphSpec{Family: "ring", N: 40} },
-		"shards":     func(s *Spec) { s.Shards = 4 },
 	}
 	for name, mut := range diff {
 		if k := key(mut); k == base.SubstrateKey() {

@@ -13,12 +13,12 @@ import (
 // only adversary is edge delay varying in (0, w(e)]; WithFaults extends
 // the adversary with message loss, duplication, transient link outages
 // and fail-stop node crashes, all driven by the sender's per-node
-// seeded RNG stream so a (seed, plan) pair replays byte-identically —
-// on the serial engine and the sharded one alike. The fault checks
-// live inside the allocation-free hot path: scalar state in halfEdge
-// (fdown) and event (flags), dense per-node / per-edge arrays, and a
-// sorted activation timeline walked by cursor. A network built without
-// WithFaults pays a nil-pointer branch per send and nothing else.
+// seeded RNG stream so a (seed, plan) pair replays byte-identically.
+// The fault checks live inside the allocation-free hot path: scalar
+// state in halfEdge (fdown) and event (flags), dense per-node /
+// per-edge arrays, and a sorted activation timeline walked by cursor.
+// A network built without WithFaults pays a nil-pointer branch per
+// send and nothing else.
 
 // DropReason classifies why a message was lost.
 type DropReason uint8
@@ -123,9 +123,7 @@ type faultState struct {
 	downIdx []int32      // edge -> first window; windows of e are downs[downIdx[e]:downIdx[e+1]]
 	// downCur is the window cursor, one per *directed* edge (indexed by
 	// halfEdge.did): each direction's sends happen in that sender's own
-	// monotone time order, so a per-direction cursor only moves forward
-	// — and, because a directed edge has exactly one owning sender, the
-	// sharded engine's workers never share a cursor.
+	// monotone time order, so a per-direction cursor only moves forward.
 	downCur []int32
 	acts    []activation // observer timeline, sorted by (at, kind, id)
 	actCur  int

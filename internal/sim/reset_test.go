@@ -391,50 +391,3 @@ func TestResetAfterEventLimit(t *testing.T) {
 		t.Errorf("post-abort reused run diverged from fresh run:\n got  %+v\n want %+v", got.stats, want.stats)
 	}
 }
-
-// TestResetSharded: reuse through the sharded engine — a Reset network
-// running sharded matches fresh serial, and vice versa.
-func TestResetSharded(t *testing.T) {
-	g := resetTestGraph()
-	fresh, err := NewNetwork(g, resetTestProcs(g), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := captureRun(t, fresh)
-
-	n, err := NewNetwork(g, resetTestProcs(g), WithShards(4), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := captureRun(t, n); !got.equal(want) {
-		t.Fatal("sharded fresh run diverged from serial")
-	}
-	// Sharded -> serial reuse.
-	if err := n.Reset(resetTestProcs(g), WithSeed(5)); err != nil {
-		t.Fatal(err)
-	}
-	if got := captureRun(t, n); !got.equal(want) {
-		t.Errorf("serial run on a network previously run sharded diverged")
-	}
-	// Serial -> sharded reuse, with a cached assignment.
-	assign := ShardAssignment(g, 4)
-	if err := n.Reset(resetTestProcs(g), WithShardAssignment(assign), WithSeed(5)); err != nil {
-		t.Fatal(err)
-	}
-	if got := captureRun(t, n); !got.equal(want) {
-		t.Errorf("sharded run on a reused network diverged")
-	}
-}
-
-// TestShardAssignmentMatchesWithShards pins the exported partitioner
-// to the one WithShards computes internally.
-func TestShardAssignmentMatchesWithShards(t *testing.T) {
-	g := resetTestGraph()
-	want := partitionShards(g, 4)
-	if got := ShardAssignment(g, 4); !reflect.DeepEqual(got, want) {
-		t.Errorf("ShardAssignment diverged from the internal partitioner")
-	}
-	if got := ShardAssignment(g, 0); len(got) != g.N() {
-		t.Errorf("ShardAssignment(0) returned %d entries", len(got))
-	}
-}

@@ -37,21 +37,13 @@ if [ "${BENCH_CHECK:-0}" = "1" ]; then
 	trap 'rm -f "$OUT"' EXIT
 fi
 
-# The hot-path trio runs COUNT times; the million-node sharded pair
-# (BenchmarkEngineShardedSerial / BenchmarkEngineSharded, ~20M events
-# per op) always runs once — one op at that scale is a stable
-# measurement, and the pair exists to track the parallel speedup
-# ratio, not per-op noise. BENCH_SHARDED=0 skips the pair. The sweep
-# pair (BenchmarkEngineSweepFresh / BenchmarkEngineSweepPooled, one op
-# = a 100-trial sweep) tracks the experiment service's substrate-cache
-# + pooled-Reset win; BENCH_SWEEP=0 skips it.
+# The hot-path trio runs COUNT times. The sweep pair
+# (BenchmarkEngineSweepFresh / BenchmarkEngineSweepPooled, one op = a
+# 100-trial sweep) tracks the experiment service's substrate-cache +
+# pooled-Reset win; BENCH_SWEEP=0 skips it.
 {
 	go test -run '^$' -bench '^BenchmarkEngine(Flood|Observed|Causal|Faulty)$' -benchmem \
 		-benchtime "${BENCH_TIME:-5x}" -count "$COUNT" .
-	if [ "${BENCH_SHARDED:-1}" = "1" ]; then
-		go test -run '^$' -bench '^BenchmarkEngineSharded(Serial)?$' -benchmem \
-			-benchtime 1x -count 1 -timeout 30m .
-	fi
 	if [ "${BENCH_SWEEP:-1}" = "1" ]; then
 		go test -run '^$' -bench '^BenchmarkEngineSweep(Fresh|Pooled)$' -benchmem \
 			-benchtime "${BENCH_SWEEP_TIME:-3x}" -count "$COUNT" .

@@ -3,20 +3,20 @@
 // stdin, averages the BenchmarkEngineFlood (nil observer),
 // BenchmarkEngineObserved (metrics observer attached),
 // BenchmarkEngineCausal (causal observer attached),
-// BenchmarkEngineFaulty (fault plan active) and the sharded-engine
-// pair BenchmarkEngineShardedSerial / BenchmarkEngineSharded lines,
-// and emits a JSON document holding the frozen pre-optimization
-// baseline (the container/heap + map engine, measured on the same
-// workload before the rewrite), the current numbers, the improvement
-// ratios, and the measured observer / fault-injection / sharding
-// deltas.
+// BenchmarkEngineFaulty (fault plan active) and the sweep pair
+// BenchmarkEngineSweepFresh / BenchmarkEngineSweepPooled lines, and
+// emits a JSON document holding the frozen pre-optimization baseline
+// (the container/heap + map engine, measured on the same workload
+// before the rewrite), the current numbers, the improvement ratios,
+// and the measured observer / fault-injection / sweep deltas.
 //
 // Usage:
 //
 //	go test -run xxx -bench 'BenchmarkEngine...' -benchmem -count 3 . | go run ./scripts/benchjson > BENCH_sim.json
 //
 // Recompute mode re-derives every ratio block (improvement,
-// observer_overhead, fault_overhead, sharded_speedup) from the
+// observer_overhead, causal_overhead, fault_overhead, sweep_speedup)
+// from the
 // measured fields already committed in an existing document, leaving
 // the measurements themselves untouched:
 //
@@ -63,7 +63,7 @@ var baseline = run{
 // runs. It is the single source of derived numbers: both fresh
 // measurement and -recompute go through it, so the committed ratio
 // strings can never legitimately disagree with the committed fields.
-func derive(doc map[string]any, base, flood, observed, causal, faulty, shSerial, sharded, sweepFresh, sweepPooled *run) {
+func derive(doc map[string]any, base, flood, observed, causal, faulty, sweepFresh, sweepPooled *run) {
 	doc["improvement"] = map[string]string{
 		"events_per_sec": fmt.Sprintf("%.2fx", flood.EventsPerSec/base.EventsPerSec),
 		"allocs_per_op":  fmt.Sprintf("%.1fx fewer", base.AllocsPerOp/flood.AllocsPerOp),
@@ -84,11 +84,6 @@ func derive(doc map[string]any, base, flood, observed, causal, faulty, shSerial,
 	if faulty != nil {
 		doc["fault_overhead"] = map[string]string{
 			"ns_per_op": fmt.Sprintf("%+.1f%% (informational; workload shrinks as drops prune the flood)", (faulty.NsPerOp/flood.NsPerOp-1)*100),
-		}
-	}
-	if shSerial != nil && sharded != nil {
-		doc["sharded_speedup"] = map[string]string{
-			"events_per_sec": fmt.Sprintf("%.2fx vs serial on the same workload (scales with usable cores; see EXPERIMENTS.md)", sharded.EventsPerSec/shSerial.EventsPerSec),
 		}
 	}
 	if sweepFresh != nil && sweepPooled != nil {
@@ -128,13 +123,6 @@ func main() {
 	if runs.faulty != nil {
 		doc["faulty"] = runs.faulty
 	}
-	if runs.shSerial != nil {
-		doc["sharded_serial"] = runs.shSerial
-	}
-	if runs.sharded != nil {
-		doc["sharded"] = runs.sharded
-		doc["sharded_workload"] = "flooding on BigFlood(1_000_000 nodes, 10_000_000 edges), DelayMax, WithShards(4)"
-	}
 	if runs.sweepFresh != nil {
 		doc["sweep_fresh"] = runs.sweepFresh
 	}
@@ -142,7 +130,7 @@ func main() {
 		doc["sweep_pooled"] = runs.sweepPooled
 		doc["sweep_workload"] = "100-trial flood sweep on RandomConnected(2000, 6000, UniformWeights(64, 21), 21); fresh rebuilds graph+network per trial, pooled shares one substrate and recycles networks via sim.Pool (the `costsense serve` job shape)"
 	}
-	derive(doc, &baseline, runs.flood, runs.observed, runs.causal, runs.faulty, runs.shSerial, runs.sharded, runs.sweepFresh, runs.sweepPooled)
+	derive(doc, &baseline, runs.flood, runs.observed, runs.causal, runs.faulty, runs.sweepFresh, runs.sweepPooled)
 	emit(doc)
 }
 
@@ -216,14 +204,6 @@ func recompute(args []string) error {
 	if err != nil {
 		return err
 	}
-	shSerial, err := pick("sharded_serial")
-	if err != nil {
-		return err
-	}
-	sharded, err := pick("sharded")
-	if err != nil {
-		return err
-	}
 	sweepFresh, err := pick("sweep_fresh")
 	if err != nil {
 		return err
@@ -232,7 +212,7 @@ func recompute(args []string) error {
 	if err != nil {
 		return err
 	}
-	derive(doc, base, flood, observed, causal, faulty, shSerial, sharded, sweepFresh, sweepPooled)
+	derive(doc, base, flood, observed, causal, faulty, sweepFresh, sweepPooled)
 	emit(doc)
 	return nil
 }
@@ -243,8 +223,6 @@ type engineRuns struct {
 	observed    *run
 	causal      *run
 	faulty      *run
-	shSerial    *run
-	sharded     *run
 	sweepFresh  *run
 	sweepPooled *run
 }
@@ -258,7 +236,7 @@ func parse(r io.Reader) (*engineRuns, int, error) {
 		run
 		n int
 	}
-	var flood, obs, cau, flt, shs, shp, swf, swp acc
+	var flood, obs, cau, flt, swf, swp acc
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -284,10 +262,6 @@ func parse(r io.Reader) (*engineRuns, int, error) {
 			a = &cau
 		case strings.HasPrefix(f[0], "BenchmarkEngineFaulty"):
 			a = &flt
-		case strings.HasPrefix(f[0], "BenchmarkEngineShardedSerial"):
-			a = &shs
-		case strings.HasPrefix(f[0], "BenchmarkEngineSharded"):
-			a = &shp
 		case strings.HasPrefix(f[0], "BenchmarkEngineSweepFresh"):
 			a = &swf
 		case strings.HasPrefix(f[0], "BenchmarkEngineSweepPooled"):
@@ -324,8 +298,6 @@ func parse(r io.Reader) (*engineRuns, int, error) {
 		observed:    avg(&obs, "same engine, full metrics observer attached (BenchmarkEngineObserved)"),
 		causal:      avg(&cau, "same engine, causal observer attached: happens-before DAG + critical path (BenchmarkEngineCausal)"),
 		faulty:      avg(&flt, "same engine, fault plan active: drop 5%, dup 2%, one outage, one crash (BenchmarkEngineFaulty)"),
-		shSerial:    avg(&shs, "serial engine on the sharded benchmark workload (BenchmarkEngineShardedSerial)"),
-		sharded:     avg(&shp, "sharded engine, WithShards(4), conservative lookahead windows (BenchmarkEngineSharded)"),
 		sweepFresh:  avg(&swf, "100-trial sweep, graph and network rebuilt every trial (BenchmarkEngineSweepFresh)"),
 		sweepPooled: avg(&swp, "100-trial sweep, one shared substrate + pooled network Reset (BenchmarkEngineSweepPooled)"),
 	}

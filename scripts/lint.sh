@@ -8,7 +8,7 @@
 #   2. go vet         — the stock toolchain analyzers
 #   3. costsense-vet  — the project suite (detmap, detsource,
 #                       hotpathalloc, hotpathtrans, arenaref,
-#                       shardsync, lockguard, ctxflow, errflow);
+#                       lockguard, ctxflow, errflow);
 #                       see DESIGN.md, "Static analysis & invariants"
 #   4. costsense-vet -audit — the directive inventory: stale,
 #                       unjustified or unknown //costsense: directives
@@ -16,9 +16,11 @@
 #                       nightly CI job keeps it as an artifact)
 #   5. staticcheck    — pinned version, via `go run`
 #
-# staticcheck needs the module proxy (or a preinstalled binary) the
-# first time; offline environments get a warning and continue unless
-# REQUIRE_STATICCHECK=1 (which CI sets, making it blocking there).
+# staticcheck runs only where it is installed or the module proxy can
+# fetch it, which in practice means CI. Offline without a staticcheck
+# binary, step 5 prints a warning and is skipped, so locally this
+# script is steps 1-4. CI sets REQUIRE_STATICCHECK=1, which makes a
+# missing staticcheck fatal there.
 set -eu
 
 cd "$(dirname "$0")/.."
