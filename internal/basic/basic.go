@@ -33,18 +33,9 @@ type Port interface {
 	Send(to graph.NodeID, m sim.Message)
 }
 
-// ctxPort adapts a plain sim.Context to a Port.
-type ctxPort struct {
-	ctx sim.Context
-}
-
-var _ Port = ctxPort{}
-
-func (p ctxPort) ID() graph.NodeID        { return p.ctx.ID() }
-func (p ctxPort) Neighbors() []graph.Half { return p.ctx.Neighbors() }
-func (p ctxPort) Send(to graph.NodeID, m sim.Message) {
-	p.ctx.Send(to, m)
-}
+// A plain sim.Context is a Port: standalone processes hand it to their
+// core as it is, without an adapter to box on every delivery.
+var _ Port = sim.Context(nil)
 
 // Gate arbitrates a suspendable algorithm at its root (§7.2). The
 // algorithm calls Report each time its root estimate grows, with its

@@ -219,7 +219,7 @@ type kicker struct {
 }
 
 func (k *kicker) Init(ctx sim.Context) {
-	k.core.Start(ctxPort{ctx}) // the kicker always wraps the root
+	k.core.Start(ctx) // the kicker always runs on the root
 }
 
 func (k *kicker) Handle(ctx sim.Context, from graph.NodeID, m sim.Message) {
@@ -227,11 +227,11 @@ func (k *kicker) Handle(ctx sim.Context, from graph.NodeID, m sim.Message) {
 		if k.gate.resume != nil {
 			r := k.gate.resume
 			k.gate.resume = nil
-			r(ctxPort{ctx})
+			r(ctx)
 		}
 		return
 	}
-	k.core.Handle(ctxPort{ctx}, from, m)
+	k.core.Handle(ctx, from, m)
 }
 
 func TestDFSGateSuspendResume(t *testing.T) {

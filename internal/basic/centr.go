@@ -261,13 +261,13 @@ var _ sim.Process = (*CentrProc)(nil)
 // Init starts the root.
 func (c *CentrProc) Init(ctx sim.Context) {
 	if ctx.ID() == c.Core.Root {
-		c.Core.Start(ctxPort{ctx})
+		c.Core.Start(ctx)
 	}
 }
 
 // Handle delegates to the core.
 func (c *CentrProc) Handle(ctx sim.Context, from graph.NodeID, m sim.Message) {
-	c.Core.Handle(ctxPort{ctx}, from, m)
+	c.Core.Handle(ctx, from, m)
 }
 
 // CentrResult aggregates a full-information run.

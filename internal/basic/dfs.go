@@ -170,13 +170,13 @@ var _ sim.Process = (*DFSProc)(nil)
 // Init starts the token at the root.
 func (d *DFSProc) Init(ctx sim.Context) {
 	if ctx.ID() == d.Core.Root {
-		d.Core.Start(ctxPort{ctx})
+		d.Core.Start(ctx)
 	}
 }
 
 // Handle delegates to the core.
 func (d *DFSProc) Handle(ctx sim.Context, from graph.NodeID, m sim.Message) {
-	d.Core.Handle(ctxPort{ctx}, from, m)
+	d.Core.Handle(ctx, from, m)
 }
 
 // DFSResult aggregates a DFS run.

@@ -4,21 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"costsense/internal/basic"
 	"costsense/internal/graph"
 	"costsense/internal/sim"
 )
-
-// ctxPort adapts a sim.Context to a basic.Port.
-type ctxPort struct {
-	ctx sim.Context
-}
-
-var _ basic.Port = ctxPort{}
-
-func (p ctxPort) ID() graph.NodeID                    { return p.ctx.ID() }
-func (p ctxPort) Neighbors() []graph.Half             { return p.ctx.Neighbors() }
-func (p ctxPort) Send(to graph.NodeID, m sim.Message) { p.ctx.Send(to, m) }
 
 // GHSProc runs a GHSCore as a standalone process, with spontaneous
 // wake-up at time zero (cost-equivalent to the §8.1 flooding wake-up,
@@ -30,11 +18,11 @@ type GHSProc struct {
 var _ sim.Process = (*GHSProc)(nil)
 
 // Init wakes the node.
-func (g *GHSProc) Init(ctx sim.Context) { g.Core.Wakeup(ctxPort{ctx}) }
+func (g *GHSProc) Init(ctx sim.Context) { g.Core.Wakeup(ctx) }
 
 // Handle delegates to the core.
 func (g *GHSProc) Handle(ctx sim.Context, from graph.NodeID, m sim.Message) {
-	g.Core.Handle(ctxPort{ctx}, from, m)
+	g.Core.Handle(ctx, from, m)
 }
 
 // Result is the outcome of a distributed MST construction.

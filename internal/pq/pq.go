@@ -67,21 +67,6 @@ func (h *Heap[T]) Pop() T {
 	return min
 }
 
-// Peek returns the minimum element without removing it. It panics on an
-// empty heap.
-//
-//costsense:hotpath
-func (h *Heap[T]) Peek() T { return h.a[0] }
-
-// Reset empties the heap, keeping the underlying storage for reuse.
-func (h *Heap[T]) Reset() {
-	var zero T
-	for i := range h.a {
-		h.a[i] = zero
-	}
-	h.a = h.a[:0]
-}
-
 //costsense:hotpath
 func (h *Heap[T]) up(i int) {
 	a := h.a

@@ -99,27 +99,6 @@ func TestHeapDeterministicTiebreak(t *testing.T) {
 	}
 }
 
-func TestPeekAndReset(t *testing.T) {
-	h := NewHeap[intItem](8)
-	h.Push(5)
-	h.Push(2)
-	h.Push(9)
-	if got := int64(h.Peek()); got != 2 {
-		t.Fatalf("Peek = %d, want 2", got)
-	}
-	if h.Len() != 3 {
-		t.Fatalf("Peek changed Len to %d", h.Len())
-	}
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatalf("Reset left Len = %d", h.Len())
-	}
-	h.Push(1)
-	if got := int64(h.Pop()); got != 1 {
-		t.Fatalf("heap unusable after Reset: got %d", got)
-	}
-}
-
 func TestPushPopAllocFree(t *testing.T) {
 	h := NewHeap[intItem](1024)
 	allocs := testing.AllocsPerRun(100, func() {

@@ -311,6 +311,22 @@ type trialWorker struct {
 // newTrialWorker returns a worker's state, for harness.StartWorkers.
 func newTrialWorker() *trialWorker { return &trialWorker{pool: sim.NewPool(2)} }
 
+// trialOpts are the engine options of a sweep's trial with the given
+// seed, run on pool.
+func trialOpts(spec Spec, delay sim.DelayModel, plan sim.FaultPlan, seed int64, pool *sim.Pool) []sim.Option {
+	opts := []sim.Option{
+		sim.WithDelay(delay), sim.WithSeed(seed), sim.WithPool(pool),
+	}
+	if spec.EventLimit > 0 {
+		opts = append(opts, sim.WithEventLimit(spec.EventLimit))
+	}
+	if spec.Faults != nil {
+		rel, _ := reliable.Install(reliable.Config{})
+		opts = append(opts, sim.WithFaults(plan), rel)
+	}
+	return opts
+}
+
 // runSweep runs a normalized spec's trials on ws, beside whatever other
 // sweeps it is serving, and returns their rows in index order plus
 // trial 0's metrics observer.
@@ -335,16 +351,7 @@ func runSweep(ctx context.Context, ws *harness.Workers[*trialWorker], spec Spec,
 	rows, err := harness.RunOn(ctx, ws, spec.Trials,
 		func(_ context.Context, w *trialWorker, i int) (TrialRow, error) {
 			seed := spec.Seed + int64(i)
-			opts := []sim.Option{
-				sim.WithDelay(delay), sim.WithSeed(seed), sim.WithPool(w.pool),
-			}
-			if spec.EventLimit > 0 {
-				opts = append(opts, sim.WithEventLimit(spec.EventLimit))
-			}
-			if spec.Faults != nil {
-				rel, _ := reliable.Install(reliable.Config{})
-				opts = append(opts, sim.WithFaults(plan), rel)
-			}
+			opts := trialOpts(spec, delay, plan, seed, w.pool)
 			if i == 0 {
 				opts = append(opts, sim.WithObserver(metrics))
 			}

@@ -289,9 +289,12 @@ func (f *reflooder) forward(ctx Context) {
 // for the queue and the per-node RNGs: once a Network has run, a Reset
 // and another Run of the same flood allocate a handful of objects (the
 // trace map, the ByClass view), however many events the run delivers
-// and however many nodes draw random delays.
+// and however many nodes draw random delays. Drawing costs nothing
+// extra: under DelayUniform the per-node streams are re-seeded in
+// place, so the run allocates no more than the same run under DelayMax.
 func TestPooledRunAllocsDoNotGrowWithEvents(t *testing.T) {
 	for _, size := range []struct{ n, m int }{{200, 800}, {2000, 16000}} {
+		var maxAllocs float64
 		for _, delay := range []DelayModel{DelayMax{}, DelayUniform{}} {
 			g := graph.RandomConnected(size.n, size.m, graph.UniformWeights(64, 5), 5)
 			procs := make([]Process, g.N())
@@ -321,6 +324,11 @@ func TestPooledRunAllocsDoNotGrowWithEvents(t *testing.T) {
 			}
 			if allocs > 8 {
 				t.Errorf("%T, %d events: %.0f allocs per pooled Reset+Run, want a constant handful", delay, events, allocs)
+			}
+			if _, ok := delay.(DelayMax); ok {
+				maxAllocs = allocs
+			} else if allocs > maxAllocs {
+				t.Errorf("%T, n=%d: %.0f allocs per pooled Reset+Run, %.0f under DelayMax", delay, size.n, allocs, maxAllocs)
 			}
 		}
 	}
