@@ -14,7 +14,11 @@ import (
 // detsource audits below record that).
 //
 // Output is throttled to at most one line per interval, plus a final
-// summary when the last trial completes.
+// summary when the last trial completes. OnDone and the lines go out in
+// done order: the harness counts a trial done before it calls
+// TrialDone, so two workers can arrive here out of order, and the late
+// arrival with the smaller count is dropped rather than reported after
+// a larger one.
 type Progress struct {
 	mu       sync.Mutex
 	w        io.Writer
@@ -26,6 +30,9 @@ type Progress struct {
 	maxTrial time.Duration
 	sumTrial time.Duration
 	finished int
+
+	outMu    sync.Mutex // orders OnDone and the lines; never held with mu
+	reported int        // largest done handed to OnDone, under outMu
 
 	// OnDone, when set, receives (done, total) after every trial;
 	// cmd/costsense uses it to publish expvar gauges.
@@ -82,25 +89,39 @@ func (p *Progress) TrialDone(index, done, total int) {
 	cb := p.OnDone
 	p.mu.Unlock()
 
+	line := ""
+	switch {
+	case final:
+		line = fmt.Sprintf("%s: %d trials in %s (avg %s/trial, max %s)\n",
+			p.label, total, round(elapsed), round(avg), round(maxT))
+	case !throttled:
+		eta := time.Duration(0)
+		if done > 0 {
+			eta = time.Duration(float64(elapsed) / float64(done) * float64(total-done))
+		}
+		line = fmt.Sprintf("%s: %d/%d trials (%.0f%%), avg %s/trial, ETA %s\n",
+			p.label, done, total, 100*float64(done)/float64(total), round(avg), round(eta))
+	}
+
+	p.outMu.Lock()
+	defer p.outMu.Unlock()
+	if done <= p.reported {
+		return // a later trial's count already went out
+	}
+	p.reported = done
+	//costsense:lock-ok outMu orders only the telemetry of this meter; no result path takes it
+	p.emit(cb, done, total, line)
+}
+
+// emit hands one trial's count to OnDone and writes its line, if any.
+func (p *Progress) emit(cb func(done, total int), done, total int, line string) {
 	if cb != nil {
 		cb(done, total)
 	}
-	if throttled {
-		return
-	}
-	if final {
+	if line != "" {
 		//costsense:err-ok best-effort progress line; a broken stderr must not fail the sweep
-		fmt.Fprintf(p.w, "%s: %d trials in %s (avg %s/trial, max %s)\n",
-			p.label, total, round(elapsed), round(avg), round(maxT))
-		return
+		io.WriteString(p.w, line)
 	}
-	eta := time.Duration(0)
-	if done > 0 {
-		eta = time.Duration(float64(elapsed) / float64(done) * float64(total-done))
-	}
-	//costsense:err-ok best-effort progress line; a broken stderr must not fail the sweep
-	fmt.Fprintf(p.w, "%s: %d/%d trials (%.0f%%), avg %s/trial, ETA %s\n",
-		p.label, done, total, 100*float64(done)/float64(total), round(avg), round(eta))
 }
 
 // round trims durations to a readable precision.
