@@ -202,7 +202,7 @@ type suspendOnce struct {
 	resume    func(Port)
 }
 
-func (s *suspendOnce) Report(est int64, resume func(Port)) bool {
+func (s *suspendOnce) Report(_ Port, est int64, resume func(Port)) bool {
 	if s.suspended == 0 {
 		s.suspended++
 		s.resume = resume
@@ -294,7 +294,7 @@ func TestDFSGateConsulted(t *testing.T) {
 
 type countGate struct{ calls int }
 
-func (c *countGate) Report(int64, func(Port)) bool {
+func (c *countGate) Report(Port, int64, func(Port)) bool {
 	c.calls++
 	return true
 }

@@ -52,6 +52,17 @@ type (
 	MsgCDone struct{}
 )
 
+// IsCentrMessage reports whether m is one of CentrCore's messages, for
+// a process that runs MSTcentr beside other cores and dispatches by
+// type.
+func IsCentrMessage(m sim.Message) bool {
+	switch m.(type) {
+	case MsgCPhase, MsgCReport, MsgCAdd, MsgCInvite, MsgCDone:
+		return true
+	}
+	return false
+}
+
 // CentrCore is the per-node state machine shared by MSTcentr and
 // SPTcentr. The invariant of §6.3 holds throughout: every tree member
 // knows the full membership (and, in ModeSPT, the distance labels), so
@@ -181,7 +192,7 @@ func (c *CentrCore) rootDecide(p Port) {
 	c.CommEstimate += 3*c.treeWeight + chosen.EdgeW
 	c.treeWeight += chosen.EdgeW
 	resume := func(p2 Port) { c.applyAdd(p2, c.addMsg(chosen)) }
-	if c.Gate.Report(c.CommEstimate, resume) {
+	if c.Gate.Report(p, c.CommEstimate, resume) {
 		resume(p)
 	}
 }

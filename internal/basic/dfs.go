@@ -26,6 +26,16 @@ type (
 	MsgDFSResume struct{ Est int64 }
 )
 
+// IsDFSMessage reports whether m is one of DFSCore's messages, for a
+// process that runs DFS beside other cores and dispatches by type.
+func IsDFSMessage(m sim.Message) bool {
+	switch m.(type) {
+	case MsgDFSToken, MsgDFSBounce, MsgDFSBack, MsgDFSHome, MsgDFSResume:
+		return true
+	}
+	return false
+}
+
 // DFSCore is the per-node state machine of the distributed depth-first
 // search of §6.2: a single token traverses every edge at most twice in
 // each direction (communication and time O(𝓔)), and the root estimate
@@ -95,7 +105,7 @@ func (c *DFSCore) proceed(p Port) {
 			if c.isRoot(p) {
 				c.estR = newEst
 				c.estLocal = newEst
-				if !c.Gate.Report(newEst, func(p2 Port) { c.proceed(p2) }) {
+				if !c.Gate.Report(p, newEst, func(p2 Port) { c.proceed(p2) }) {
 					return // suspended at root; resume re-enters proceed
 				}
 				continue
@@ -140,7 +150,7 @@ func (c *DFSCore) Handle(p Port, from graph.NodeID, m sim.Message) {
 			c.estR = msg.Est
 			c.breadcrumb = from
 			resume := func(p2 Port) { p2.Send(c.breadcrumb, MsgDFSResume{Est: c.estR}) }
-			if c.Gate.Report(c.estR, resume) {
+			if c.Gate.Report(p, c.estR, resume) {
 				resume(p)
 			}
 			return

@@ -17,128 +17,34 @@ import (
 	"costsense/internal/sim"
 )
 
-// algorithm tags for hybrid message multiplexing.
-const (
-	algDFS byte = 'd'
-	algMST byte = 'm'
-)
-
-// HybridMsg wraps a sub-algorithm message with its tag.
-type HybridMsg struct {
-	Alg   byte
-	Inner sim.Message
-}
-
-// algPort tags a core's sends with its algorithm.
-type algPort struct {
-	ctx sim.Context
-	alg byte
-}
-
-var _ basic.Port = algPort{}
-
-func (p algPort) ID() graph.NodeID        { return p.ctx.ID() }
-func (p algPort) Neighbors() []graph.Half { return p.ctx.Neighbors() }
-func (p algPort) Send(to graph.NodeID, m sim.Message) {
-	p.ctx.Send(to, HybridMsg{Alg: p.alg, Inner: m})
-}
-
-// arbiter is the root's §7.2 Permit logic. Exactly one sub-algorithm is
-// active at a time; the suspended one is parked with its center of
-// activity at the root.
-type arbiter struct {
-	wa, wb    int64 // root estimates of DFS and MSTcentr
-	dfsParked func(basic.Port)
-	mstParked func(basic.Port)
-	mst       *basic.CentrCore
-	mstOn     bool // MSTcentr started
-	ctx       sim.Context
-}
-
-// permitDFS applies the paper's rule: Permit = DFS iff W_a <= W_b.
-func (a *arbiter) permitDFS() bool { return a.wa <= a.wb }
-
-func (a *arbiter) activateMST() {
-	port := algPort{ctx: a.ctx, alg: algMST}
-	if !a.mstOn {
-		a.mstOn = true
-		a.mst.Start(port)
-		return
-	}
-	if a.mstParked != nil {
-		r := a.mstParked
-		a.mstParked = nil
-		r(port)
-	}
-}
-
-func (a *arbiter) activateDFS() {
-	if a.dfsParked != nil {
-		r := a.dfsParked
-		a.dfsParked = nil
-		r(algPort{ctx: a.ctx, alg: algDFS})
-	}
-}
-
-type dfsGate struct{ a *arbiter }
-
-func (g dfsGate) Report(est int64, resume func(basic.Port)) bool {
-	g.a.wa = est
-	if g.a.permitDFS() {
-		return true
-	}
-	g.a.dfsParked = resume
-	g.a.activateMST()
-	return false
-}
-
-type mstGate struct{ a *arbiter }
-
-func (g mstGate) Report(est int64, resume func(basic.Port)) bool {
-	g.a.wb = est
-	if !g.a.permitDFS() {
-		return true
-	}
-	g.a.mstParked = resume
-	g.a.activateDFS()
-	return false
-}
-
-// HybridProc runs the two cores at one node.
+// HybridProc runs the two cores at one node. The cores send through
+// the node's context as it is; a delivery goes to the core whose
+// message type it carries, and at the root the cores' Gates share one
+// basic.Interleave arbiter.
 type HybridProc struct {
 	DFS  *basic.DFSCore
 	MST  *basic.CentrCore
 	Root graph.NodeID
-	arb  *arbiter // root only
 }
 
 var _ sim.Process = (*HybridProc)(nil)
 
 // Init starts DFS at the root (W_a = W_b = 0; DFS holds the permit).
 func (h *HybridProc) Init(ctx sim.Context) {
-	if ctx.ID() != h.Root {
-		return
+	if ctx.ID() == h.Root {
+		h.DFS.Start(ctx)
 	}
-	h.arb.ctx = ctx
-	h.DFS.Start(algPort{ctx: ctx, alg: algDFS})
 }
 
-// Handle demultiplexes to the cores.
+// Handle dispatches to the core the message belongs to.
 func (h *HybridProc) Handle(ctx sim.Context, from graph.NodeID, m sim.Message) {
-	hm, ok := m.(HybridMsg)
-	if !ok {
-		panic(fmt.Sprintf("connect: unexpected message %T", m))
-	}
-	if h.arb != nil {
-		h.arb.ctx = ctx // keep the arbiter bound to the live context
-	}
-	switch hm.Alg {
-	case algDFS:
-		h.DFS.Handle(algPort{ctx: ctx, alg: algDFS}, from, hm.Inner)
-	case algMST:
-		h.MST.Handle(algPort{ctx: ctx, alg: algMST}, from, hm.Inner)
+	switch {
+	case basic.IsDFSMessage(m):
+		h.DFS.Handle(ctx, from, m)
+	case basic.IsCentrMessage(m):
+		h.MST.Handle(ctx, from, m)
 	default:
-		panic(fmt.Sprintf("connect: unknown algorithm tag %q", hm.Alg))
+		panic(fmt.Sprintf("connect: unexpected message %T", m))
 	}
 }
 
@@ -171,7 +77,6 @@ func RunCONHybrid(g *graph.Graph, root graph.NodeID, opts ...sim.Option) (*Hybri
 	n := g.N()
 	procs := make([]sim.Process, n)
 	hps := make([]*HybridProc, n)
-	arb := &arbiter{}
 	for v := range procs {
 		hp := &HybridProc{
 			DFS:  basic.NewDFSCore(root),
@@ -179,10 +84,7 @@ func RunCONHybrid(g *graph.Graph, root graph.NodeID, opts ...sim.Option) (*Hybri
 			Root: root,
 		}
 		if graph.NodeID(v) == root {
-			hp.arb = arb
-			arb.mst = hp.MST
-			hp.DFS.Gate = dfsGate{a: arb}
-			hp.MST.Gate = mstGate{a: arb}
+			basic.Interleave(hp.DFS, hp.MST)
 		}
 		hps[v] = hp
 		procs[v] = hp

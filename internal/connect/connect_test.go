@@ -1,12 +1,15 @@
 package connect
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"costsense/internal/basic"
 	"costsense/internal/graph"
+	"costsense/internal/mst"
 	"costsense/internal/sim"
 )
 
@@ -189,5 +192,25 @@ func TestCONHybridUnderRandomDelays(t *testing.T) {
 		if !graph.NewTree(g, 0, res.Parent).Spanning() {
 			t.Fatalf("seed %d: not spanning (%s won)", seed, res.Winner)
 		}
+	}
+}
+
+// strayMsg belongs to neither of CONhybrid's cores.
+type strayMsg struct{}
+
+// TestHybridHandleRejectsForeignMessage checks that a message of no
+// core — here GHS's, or a type no algorithm knows — panics with its
+// type name instead of reaching DFS or MSTcentr.
+func TestHybridHandleRejectsForeignMessage(t *testing.T) {
+	for _, m := range []sim.Message{mst.MsgConnect{}, strayMsg{}} {
+		want := fmt.Sprintf("%T", m)
+		func() {
+			defer func() {
+				if s, _ := recover().(string); !strings.Contains(s, want) {
+					t.Errorf("Handle(%s) panicked with %q, want the type name", want, s)
+				}
+			}()
+			(&HybridProc{}).Handle(nil, 1, m)
+		}()
 	}
 }

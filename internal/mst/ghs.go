@@ -120,6 +120,16 @@ type (
 	MsgDone struct{ Leader graph.NodeID }
 )
 
+// isGHSMessage reports whether m is one of GHSCore's messages, for the
+// hybrid's dispatch by type.
+func isGHSMessage(m sim.Message) bool {
+	switch m.(type) {
+	case MsgConnect, MsgInitiate, MsgTest, MsgAccept, MsgReject, MsgReport, MsgChangeRoot, MsgDone:
+		return true
+	}
+	return false
+}
+
 type deferredMsg struct {
 	from graph.NodeID
 	m    sim.Message

@@ -21,102 +21,20 @@ import (
 // MSTcentr has spent at most O(W_a) = O(𝓔). Either way the total is
 // O(min{𝓔 + 𝓥 log n, n𝓥}).
 
-// hybrid algorithm tags.
-const (
-	tagDFS byte = 'd'
-	tagGHS byte = 'g'
-	tagMST byte = 'm'
-)
-
-// HybridMsg wraps a sub-algorithm message.
-type HybridMsg struct {
-	Tag   byte
-	Inner sim.Message
-}
-
 // msgGHSGo floods the start-GHS signal after the wake-up completes.
 type msgGHSGo struct{}
 
-type tagPort struct {
-	ctx sim.Context
-	tag byte
-}
-
-var _ basic.Port = tagPort{}
-
-func (p tagPort) ID() graph.NodeID        { return p.ctx.ID() }
-func (p tagPort) Neighbors() []graph.Half { return p.ctx.Neighbors() }
-func (p tagPort) Send(to graph.NodeID, m sim.Message) {
-	p.ctx.Send(to, HybridMsg{Tag: p.tag, Inner: m})
-}
-
-// hybridArbiter holds the root's permit state.
-type hybridArbiter struct {
-	wa, wb    int64
-	dfsParked func(basic.Port)
-	mstParked func(basic.Port)
-	mst       *basic.CentrCore
-	mstOn     bool
-	ctx       sim.Context
-}
-
-func (a *hybridArbiter) permitA() bool { return a.wa <= a.wb }
-
-func (a *hybridArbiter) activateMST() {
-	port := tagPort{ctx: a.ctx, tag: tagMST}
-	if !a.mstOn {
-		a.mstOn = true
-		a.mst.Start(port)
-		return
-	}
-	if a.mstParked != nil {
-		r := a.mstParked
-		a.mstParked = nil
-		r(port)
-	}
-}
-
-func (a *hybridArbiter) activateDFS() {
-	if a.dfsParked != nil {
-		r := a.dfsParked
-		a.dfsParked = nil
-		r(tagPort{ctx: a.ctx, tag: tagDFS})
-	}
-}
-
-type hDFSGate struct{ a *hybridArbiter }
-
-func (g hDFSGate) Report(est int64, resume func(basic.Port)) bool {
-	g.a.wa = est
-	if g.a.permitA() {
-		return true
-	}
-	g.a.dfsParked = resume
-	g.a.activateMST()
-	return false
-}
-
-type hMSTGate struct{ a *hybridArbiter }
-
-func (g hMSTGate) Report(est int64, resume func(basic.Port)) bool {
-	g.a.wb = est
-	if !g.a.permitA() {
-		return true
-	}
-	g.a.mstParked = resume
-	g.a.activateDFS()
-	return false
-}
-
-// HybridProc runs the three cores at one node.
+// HybridProc runs the three cores at one node. The cores send through
+// the node's context as it is; a delivery goes to the core whose
+// message type it carries, and at the root the DFS and MSTcentr Gates
+// share one basic.Interleave arbiter.
 type HybridProc struct {
 	DFS  *basic.DFSCore
 	GHS  *GHSCore
 	MST  *basic.CentrCore
 	Root graph.NodeID
 
-	arb      *hybridArbiter // root only
-	ghsAwake bool           // saw the GHS-go flood
+	ghsAwake bool // saw the GHS-go flood
 }
 
 var _ sim.Process = (*HybridProc)(nil)
@@ -126,8 +44,7 @@ func (h *HybridProc) Init(ctx sim.Context) {
 	if ctx.ID() != h.Root {
 		return
 	}
-	h.arb.ctx = ctx
-	h.DFS.Start(tagPort{ctx: ctx, tag: tagDFS})
+	h.DFS.Start(ctx)
 	h.checkWakeupDone(ctx)
 }
 
@@ -147,35 +64,27 @@ func (h *HybridProc) startGHS(ctx sim.Context, from graph.NodeID) {
 	h.ghsAwake = true
 	for _, nb := range ctx.Neighbors() {
 		if nb.To != from {
-			ctx.Send(nb.To, HybridMsg{Tag: tagGHS, Inner: msgGHSGo{}})
+			ctx.Send(nb.To, msgGHSGo{})
 		}
 	}
-	h.GHS.Wakeup(tagPort{ctx: ctx, tag: tagGHS})
+	h.GHS.Wakeup(ctx)
 }
 
-// Handle demultiplexes to the cores.
+// Handle dispatches to the core the message belongs to.
 func (h *HybridProc) Handle(ctx sim.Context, from graph.NodeID, m sim.Message) {
-	hm, ok := m.(HybridMsg)
-	if !ok {
-		panic(fmt.Sprintf("mst: hybrid got %T", m))
-	}
-	if h.arb != nil {
-		h.arb.ctx = ctx
-	}
-	switch hm.Tag {
-	case tagDFS:
-		h.DFS.Handle(tagPort{ctx: ctx, tag: tagDFS}, from, hm.Inner)
+	switch {
+	case isGHSMessage(m):
+		h.GHS.Handle(ctx, from, m)
+	case basic.IsDFSMessage(m):
+		h.DFS.Handle(ctx, from, m)
 		h.checkWakeupDone(ctx)
-	case tagGHS:
-		if _, isGo := hm.Inner.(msgGHSGo); isGo {
-			h.startGHS(ctx, from)
-			return
-		}
-		h.GHS.Handle(tagPort{ctx: ctx, tag: tagGHS}, from, hm.Inner)
-	case tagMST:
-		h.MST.Handle(tagPort{ctx: ctx, tag: tagMST}, from, hm.Inner)
+	case basic.IsCentrMessage(m):
+		h.MST.Handle(ctx, from, m)
 	default:
-		panic(fmt.Sprintf("mst: unknown tag %q", hm.Tag))
+		if _, ok := m.(msgGHSGo); !ok {
+			panic(fmt.Sprintf("mst: hybrid got %T", m))
+		}
+		h.startGHS(ctx, from)
 	}
 }
 
@@ -194,7 +103,6 @@ func RunMSTHybrid(g *graph.Graph, root graph.NodeID, opts ...sim.Option) (*Hybri
 	n := g.N()
 	procs := make([]sim.Process, n)
 	hps := make([]*HybridProc, n)
-	arb := &hybridArbiter{}
 	for v := range procs {
 		hp := &HybridProc{
 			DFS:  basic.NewDFSCore(root),
@@ -203,10 +111,7 @@ func RunMSTHybrid(g *graph.Graph, root graph.NodeID, opts ...sim.Option) (*Hybri
 			Root: root,
 		}
 		if graph.NodeID(v) == root {
-			hp.arb = arb
-			arb.mst = hp.MST
-			hp.DFS.Gate = hDFSGate{a: arb}
-			hp.MST.Gate = hMSTGate{a: arb}
+			basic.Interleave(hp.DFS, hp.MST)
 		}
 		hps[v] = hp
 		procs[v] = hp

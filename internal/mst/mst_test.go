@@ -1,8 +1,10 @@
 package mst
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -429,4 +431,31 @@ func TestHybridUnderRandomDelays(t *testing.T) {
 			t.Fatalf("seed %d: weight %d", seed, res.Result.Weight())
 		}
 	}
+}
+
+// strayMsg belongs to none of MSThybrid's cores.
+type strayMsg struct{}
+
+// TestHybridDispatch checks that isGHSMessage claims exactly GHS's
+// messages, disjoint from DFS's and MSTcentr's, and that a message of
+// no core panics with its type name.
+func TestHybridDispatch(t *testing.T) {
+	ghs := []sim.Message{MsgConnect{}, MsgInitiate{}, MsgTest{}, MsgAccept{}, MsgReject{}, MsgReport{}, MsgChangeRoot{}, MsgDone{}}
+	for _, m := range ghs {
+		if !isGHSMessage(m) || basic.IsDFSMessage(m) || basic.IsCentrMessage(m) {
+			t.Errorf("%T is not claimed by GHS alone", m)
+		}
+	}
+	for _, m := range []sim.Message{basic.MsgDFSToken{}, basic.MsgCPhase{}, msgGHSGo{}} {
+		if isGHSMessage(m) {
+			t.Errorf("isGHSMessage claims %T", m)
+		}
+	}
+	want := fmt.Sprintf("%T", strayMsg{})
+	defer func() {
+		if s, _ := recover().(string); !strings.Contains(s, want) {
+			t.Errorf("Handle(%s) panicked with %q, want the type name", want, s)
+		}
+	}()
+	(&HybridProc{}).Handle(nil, 1, strayMsg{})
 }

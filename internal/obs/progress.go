@@ -29,7 +29,6 @@ type Progress struct {
 	starts   map[int]time.Time
 	maxTrial time.Duration
 	sumTrial time.Duration
-	finished int
 
 	outMu    sync.Mutex // orders OnDone and the lines; never held with mu
 	reported int        // largest done handed to OnDone, under outMu
@@ -74,7 +73,6 @@ func (p *Progress) TrialDone(index, done, total int) {
 			p.maxTrial = d
 		}
 	}
-	p.finished = done
 	elapsed := now.Sub(p.begun)
 	final := done == total
 	throttled := !final && now.Sub(p.last) < p.interval
@@ -109,12 +107,6 @@ func (p *Progress) TrialDone(index, done, total int) {
 		return // a later trial's count already went out
 	}
 	p.reported = done
-	//costsense:lock-ok outMu orders only the telemetry of this meter; no result path takes it
-	p.emit(cb, done, total, line)
-}
-
-// emit hands one trial's count to OnDone and writes its line, if any.
-func (p *Progress) emit(cb func(done, total int), done, total int, line string) {
 	if cb != nil {
 		cb(done, total)
 	}

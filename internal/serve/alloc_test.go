@@ -13,14 +13,14 @@ import (
 // benchmark's protocol-mix workload submits it: its substrate, uniform
 // delays, and drop/dup faults plus a down window on ghs and flood. The
 // bounds are the measured figures plus a small margin. What remains is
-// mostly message boxing into sim.Message and the hybrids' port
-// wrappers, so a bound only ever moves down.
+// mostly message boxing into sim.Message, so a bound only ever moves
+// down.
 func TestProtocolMixAllocsPerEvent(t *testing.T) {
 	for _, c := range []struct {
 		kind  string
 		bound float64
 	}{
-		{"ghs", 1.95}, {"mstfast", 1.60}, {"msthybrid", 3.00}, {"conhybrid", 3.00},
+		{"ghs", 1.95}, {"mstfast", 1.60}, {"msthybrid", 1.02}, {"conhybrid", 1.03},
 		{"dfs", 1.05}, {"sptcentr", 0.75}, {"mstcentr", 0.75}, {"flood", 2.65},
 	} {
 		kind := c.kind
