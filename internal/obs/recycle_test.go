@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,8 +14,8 @@ import (
 // can be compared draw for draw, not only by their outcomes.
 type drawLog struct{ draws *[]int64 }
 
-func (d drawLog) Delay(e graph.Edge, rng *rand.Rand) int64 {
-	x := sim.DelayUniform{}.Delay(e, rng)
+func (d drawLog) Delay(e graph.Edge, r uint64) int64 {
+	x := sim.DelayUniform{}.Delay(e, r)
 	*d.draws = append(*d.draws, x)
 	return x
 }

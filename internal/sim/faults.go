@@ -12,8 +12,9 @@ import (
 // This file is the deterministic fault-injection subsystem. The paper's
 // only adversary is edge delay varying in (0, w(e)]; WithFaults extends
 // the adversary with message loss, duplication, transient link outages
-// and fail-stop node crashes, all driven by the sender's per-node
-// seeded RNG stream so a (seed, plan) pair replays byte-identically.
+// and fail-stop node crashes. Every loss and duplication decision is a
+// keyed draw of the sender (draw: seed, node, push sequence, purpose),
+// so a (seed, plan) pair replays byte-identically.
 // The fault checks live inside the allocation-free hot path: scalar
 // state in halfEdge (fdown) and event (flags), dense per-node /
 // per-edge arrays, and a sorted activation timeline walked by cursor.
@@ -68,8 +69,9 @@ type Crash struct {
 
 // FaultPlan describes the fault adversary for one run. The zero value
 // injects nothing. Drop and Dup are per-transmission probabilities in
-// [0, 1); drawing uses the sending node's own stream (split from the
-// WithSeed seed), so runs stay reproducible: same graph + seed + plan
+// [0, 1); each decision is a draw keyed by the WithSeed seed, the
+// sending node, its push sequence for the transmission and the
+// decision (draw), so runs stay reproducible: same graph + seed + plan
 // = same faults, independent of global event interleaving.
 type FaultPlan struct {
 	Drop    float64 // P(message lost at send), uniform across edges
@@ -83,9 +85,9 @@ func (p FaultPlan) Empty() bool {
 	return p.Drop == 0 && p.Dup == 0 && len(p.Down) == 0 && len(p.Crashes) == 0
 }
 
-// WithFaults installs a fault plan on the network. Faults draw from the
-// sender's per-node seeded stream; a run with the same seed, delay
-// model and plan replays bit-identically. Invalid plans (probabilities outside [0, 1),
+// WithFaults installs a fault plan on the network. Faults are keyed
+// draws of the sender (draw); a run with the same seed, delay model and
+// plan replays bit-identically. Invalid plans (probabilities outside [0, 1),
 // unknown nodes or edges) panic at construction — a bad plan is a
 // harness bug, not a runtime condition.
 func WithFaults(p FaultPlan) Option {
@@ -245,16 +247,16 @@ func (f *faultState) linkDown(h *halfEdge, now int64) bool {
 
 // dropSend decides the fate of one transmission at send time: 0 means
 // deliver, otherwise the message is lost for the returned reason.
-// Link-down consumes no randomness; the loss draw fires only when a
-// drop probability is configured, so the random stream is a pure
-// function of the plan.
+// seq is the sender's push sequence for the transmission. Link-down
+// draws nothing; the loss draw is made only when a drop probability is
+// configured.
 //
 //costsense:hotpath
-func (f *faultState) dropSend(h *halfEdge, now int64, rng *rand.Rand) DropReason {
+func (f *faultState) dropSend(h *halfEdge, now int64, nc *nodeCtx, seq int64) DropReason {
 	if h.fdown != 0 && f.linkDown(h, now) {
 		return DropLinkDown
 	}
-	if f.drop > 0 && rng.Float64() < f.drop {
+	if f.drop > 0 && below(nc.draw(seq, drawDrop), f.drop) {
 		return DropLoss
 	}
 	return 0

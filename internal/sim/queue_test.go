@@ -199,7 +199,7 @@ func TestQueuePushNotAfterNowPanics(t *testing.T) {
 // constDelay is a DelayModel that breaks the contract on purpose.
 type constDelay int64
 
-func (d constDelay) Delay(graph.Edge, *rand.Rand) int64 { return int64(d) }
+func (d constDelay) Delay(graph.Edge, uint64) int64 { return int64(d) }
 
 func TestDelayBelowOnePanics(t *testing.T) {
 	for _, d := range []constDelay{0, -3} {

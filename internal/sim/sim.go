@@ -27,7 +27,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/bits"
 	"sort"
 
 	"costsense/internal/graph"
@@ -82,10 +82,12 @@ type Process interface {
 
 // DelayModel chooses the delay of each transmission. Delay receives the
 // actual network edge as stored in the graph — canonical (U, V)
-// orientation and its EdgeID — so models can key off edge identity.
+// orientation and its EdgeID — so models can key off edge identity,
+// and r, a uniform 64-bit word drawn for this transmission alone (see
+// draw): a model that wants randomness takes it from r.
 type DelayModel interface {
 	// Delay returns the transit time for a message on e, in [1, e.W].
-	Delay(e graph.Edge, rng *rand.Rand) int64
+	Delay(e graph.Edge, r uint64) int64
 }
 
 // DelayMax is the maximal adversary: every message takes exactly w(e).
@@ -94,7 +96,7 @@ type DelayModel interface {
 type DelayMax struct{}
 
 // Delay returns w(e).
-func (DelayMax) Delay(e graph.Edge, _ *rand.Rand) int64 { return e.W }
+func (DelayMax) Delay(e graph.Edge, _ uint64) int64 { return e.W }
 
 // DelayUnit delivers every message in one time unit regardless of
 // weight — the most lenient adversary, useful to separate congestion
@@ -102,17 +104,17 @@ func (DelayMax) Delay(e graph.Edge, _ *rand.Rand) int64 { return e.W }
 type DelayUnit struct{}
 
 // Delay returns 1.
-func (DelayUnit) Delay(graph.Edge, *rand.Rand) int64 { return 1 }
+func (DelayUnit) Delay(graph.Edge, uint64) int64 { return 1 }
 
 // DelayUniform draws each delay uniformly from [1, w(e)].
 type DelayUniform struct{}
 
-// Delay returns a uniform draw from [1, w(e)].
-func (DelayUniform) Delay(e graph.Edge, rng *rand.Rand) int64 {
-	if e.W <= 1 {
-		return 1
-	}
-	return 1 + rng.Int63n(e.W)
+// Delay returns a uniform draw from [1, w(e)]: 1 plus the high word of
+// r·w(e), which lands on each value with probability within w(e)/2⁶⁴
+// of 1/w(e).
+func (DelayUniform) Delay(e graph.Edge, r uint64) int64 {
+	hi, _ := bits.Mul64(r, uint64(e.W))
+	return 1 + int64(hi)
 }
 
 // ClassStats aggregates the cost of one message class.
@@ -254,12 +256,13 @@ func WithDelay(d DelayModel) Option {
 	return func(n *Network) { n.delay = d }
 }
 
-// WithSeed seeds the delay and fault RNG streams (default 1). Runs are
-// deterministic for a fixed seed and delay model. Every node draws
-// from its own stream, split from the seed by a fixed mixing function
-// (nodeSeed), so a node's draws depend only on its own send sequence —
-// never on how events from different nodes interleave, so one node's
-// extra or missing draws never shift another node's delays or faults.
+// WithSeed seeds the delay and fault draws (default 1). Runs are
+// deterministic for a fixed seed and delay model. Every draw is a pure
+// function of the seed, the sending node, that node's push sequence
+// for the transmission and what the draw decides (see draw), so a
+// node's draws depend only on its own send sequence — never on how
+// events from different nodes interleave, so one node's extra or
+// missing sends never shift another node's delays or faults.
 func WithSeed(seed int64) Option {
 	return func(n *Network) { n.seed = seed }
 }
@@ -321,7 +324,7 @@ type Network struct {
 	g          *graph.Graph
 	procs      []Process
 	delay      DelayModel
-	seed       int64 // RNG seed; per-node streams split from it (nodeSeed)
+	seed       int64 // draw seed; per-node keys split from it (nodeSeed)
 	queue      eventQueue
 	now        int64
 	sendSeq    int64   // probe sequence: one per OnSend-visible transmission, dense 1..S
@@ -447,23 +450,10 @@ func (n *Network) bindGraph(g *graph.Graph) {
 		}
 	}
 	n.buildNeighborIndex()
-	// A node's RNG stream is re-seeded before every run that draws, so
-	// a kept one is as good as a new one; the tail past nv is cleared
-	// to let the streams of vertices g does not have go.
-	old := n.ctxs
-	if cap(old) < nv || cap(old) > 2*nv {
-		n.ctxs = make([]nodeCtx, nv)
-	} else {
-		n.ctxs = old[:nv]
-	}
+	n.ctxs = fitLen(n.ctxs, nv)
 	for v := range n.ctxs {
-		var rng *rand.Rand
-		if v < len(old) {
-			rng = old[v].rng
-		}
-		n.ctxs[v] = nodeCtx{net: n, id: graph.NodeID(v), rng: rng}
+		n.ctxs[v] = nodeCtx{net: n, id: graph.NodeID(v)}
 	}
-	clear(n.ctxs[nv:cap(n.ctxs)])
 }
 
 // fitLen returns buf resliced to length need and zeroed when its
@@ -508,8 +498,8 @@ func (n *Network) finalize() error {
 	}
 	if _, ok := n.delay.(DelayMax); ok {
 		// The default maximal adversary is a pure d = w(e): skip the
-		// per-send interface dispatch. It draws nothing from the RNG,
-		// so the fast path cannot shift the random stream.
+		// per-send draw and interface dispatch. Draws are keyed, not
+		// consumed from a stream, so skipping one shifts no other.
 		n.delayIsMax = true
 	}
 	return nil
@@ -647,12 +637,12 @@ func (n *Network) classID(c Class) int {
 	return n.internClass(c)
 }
 
-// nodeSeed splits the network seed into vertex v's private stream seed
+// nodeSeed splits the network seed into vertex v's private draw key
 // with one splitmix64-style finalizing round. The mixing function is
 // part of the determinism contract — golden tests pin run results
-// derived from these streams, so changing it invalidates every
-// recorded baseline (a deliberate, one-time re-pin, as when the
-// engine moved from one sequential stream to per-node streams).
+// derived from these keys, so changing it invalidates every recorded
+// baseline (a deliberate, one-time re-pin, as when the engine moved
+// from one sequential stream to per-node streams).
 func nodeSeed(seed int64, v int32) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(uint32(v))+1)
 	z ^= z >> 30
@@ -663,56 +653,62 @@ func nodeSeed(seed int64, v int32) int64 {
 	return int64(z)
 }
 
-// needNodeRNG reports whether any per-event code path of this
-// configuration can draw randomness: a delay model other than the
-// non-drawing DelayMax/DelayUnit, or a fault plan with probabilistic
-// drops or duplicates. When false, no stream is ever touched —
-// materializeRNGs neither allocates nor re-seeds one — so the default
-// configurations carry no RNG state at all.
-func (n *Network) needNodeRNG() bool {
-	if n.faults != nil && (n.faults.drop > 0 || n.faults.dup > 0) {
-		return true
-	}
-	if n.delayIsMax {
-		return false
-	}
-	if _, ok := n.delay.(DelayUnit); ok {
-		return false
-	}
-	return true
+// Draw purposes: what one random word decides. A transmission draws
+// at most once per purpose, so (node, seq, purpose) names every draw
+// of a run exactly once.
+const (
+	drawDelay uint64 = iota // its delay, through DelayModel.Delay
+	drawDrop                // whether the loss adversary drops it
+	drawDup                 // whether the adversary duplicates it
+)
+
+// draw returns the random word for one decision: the (4·seq+purpose)-th
+// output of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) started at
+// key, computed directly as one finalizer round over the state that
+// output would see. seq is the sending node's push sequence of the
+// transmission the draw is for and key is that node's nodeSeed, so a
+// draw depends on nothing but the seed, the node, its own sends and
+// the purpose. For a fixed key distinct (seq, purpose) pairs give
+// distinct states, and the finalizer is a bijection, so no two draws
+// of one node ever coincide.
+//
+//costsense:hotpath
+func draw(key, seq int64, purpose uint64) uint64 {
+	z := uint64(key) + 0x9e3779b97f4a7c15*(uint64(seq)<<2|purpose)
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
-// materializeRNGs starts the per-node RNG streams when the
-// configuration can draw randomness. A stream kept from an earlier run
-// is re-seeded in place: no ~5 KB source per node per trial, and no
-// allocation at all on a pooled network's later trials. Seeding costs
-// ~4 µs per node (rng.go), not math/rand's ~14 µs, for the same draws.
-// Cold path: runs once per Run, before any Init.
-func (n *Network) materializeRNGs() {
-	if !n.needNodeRNG() {
-		return
-	}
-	for v := range n.ctxs {
-		seed := nodeSeed(n.seed, int32(v))
-		if r := n.ctxs[v].rng; r != nil {
-			r.Seed(seed)
-		} else {
-			n.ctxs[v].rng = rand.New(newSource(seed))
-		}
-	}
+// below reports whether a probability-p event fires on draw r: the top
+// 53 bits of r as a uniform float in [0, 1), compared with p.
+//
+//costsense:hotpath
+func below(r uint64, p float64) bool {
+	return float64(r>>11)*0x1p-53 < p
 }
 
 // nodeCtx implements Context for one vertex. It also carries the
-// vertex's two pieces of engine-owned local state: the per-node push
-// sequence (the event tie-break) and the per-node RNG stream. Both
-// live here rather than on the Network because each is a function of
-// that vertex's own execution alone (see event and WithSeed), and so
-// that a run allocates nothing extra (the ctxs slice already exists).
+// vertex's one piece of engine-owned local state: the per-node push
+// sequence, the event tie-break and the counter every one of its draws
+// is keyed by. It lives here rather than on the Network because it is
+// a function of that vertex's own execution alone (see event and
+// WithSeed), and so that a run allocates nothing extra (the ctxs slice
+// already exists).
 type nodeCtx struct {
 	net *Network
 	id  graph.NodeID
-	seq int64      // per-node push counter: transmissions (incl. dropped), duplicates, timers
-	rng *rand.Rand // per-node stream split from the network seed (nodeSeed); nil until a run can draw, then kept across Reset and re-seeded in place (~4 µs, no allocation)
+	seq int64 // per-node push counter: transmissions (incl. dropped), duplicates, timers
+}
+
+// draw returns this node's random word for one purpose of the
+// transmission it numbers seq.
+//
+//costsense:hotpath
+func (c *nodeCtx) draw(seq int64, purpose uint64) uint64 {
+	return draw(nodeSeed(c.net.seed, int32(c.id)), seq, purpose)
 }
 
 var _ Context = (*nodeCtx)(nil)
@@ -791,7 +787,7 @@ func (n *Network) half(from, to graph.NodeID) *halfEdge {
 // cost, consult the fault adversary, pick the delay, and schedule the
 // delivery — no allocations beyond amortized growth of the queue and
 // the payload arena. Without WithFaults the fault adversary is one nil
-// check and the RNG stream is untouched.
+// check and nothing is drawn for it.
 //
 //costsense:hotpath
 func (n *Network) send(from, to graph.NodeID, m Message, cl Class) {
@@ -810,12 +806,12 @@ func (n *Network) send(from, to graph.NodeID, m Message, cl Class) {
 	n.classStats[ci].Comm += w
 
 	if n.faults != nil {
-		if reason := n.faults.dropSend(h, n.now, nc.rng); reason != 0 {
+		if reason := n.faults.dropSend(h, n.now, nc, nc.seq+1); reason != 0 {
 			// The transmission is paid for (the sender spent its w(e)
 			// on the wire) but never scheduled. It still consumes one
-			// per-node push sequence so the sender's stream of
-			// (seq, RNG) state is a pure function of its own sends,
-			// fault outcomes included.
+			// per-node push sequence so the sender's sequence, and
+			// with it every later draw's key, is a pure function of
+			// its own sends, fault outcomes included.
 			nc.seq++
 			n.stats.Dropped++
 			n.sendSeq++
@@ -833,9 +829,10 @@ func (n *Network) send(from, to graph.NodeID, m Message, cl Class) {
 		}
 	}
 	n.schedule(h, nc, to, m, cl, 0)
-	if n.faults != nil && n.faults.dup > 0 && nc.rng.Float64() < n.faults.dup {
-		// Duplicate: a second, independent copy of the same payload.
-		// It draws its own delay but shares the FIFO floor, so it
+	if n.faults != nil && n.faults.dup > 0 && below(nc.draw(nc.seq, drawDup), n.faults.dup) {
+		// Duplicate: a second, independent copy of the same payload,
+		// decided by the original's seq. It takes a seq of its own and
+		// draws its delay by it, but shares the FIFO floor, so it
 		// arrives at or after the original. The copy is not accounted
 		// — the adversary injected it, the protocol didn't pay for it.
 		n.stats.Duplicated++
@@ -843,15 +840,15 @@ func (n *Network) send(from, to graph.NodeID, m Message, cl Class) {
 	}
 }
 
-// delayOn picks one transmission's delay on h and
-// enforces the DelayModel contract where the value is consumed: below
-// 1 it would arrive no later than the instant being handled.
+// delayOn picks the delay on h of nc's transmission seq and enforces
+// the DelayModel contract where the value is consumed: below 1 it
+// would arrive no later than the instant being handled.
 //
 //costsense:hotpath
-func (n *Network) delayOn(h *halfEdge, rng *rand.Rand) int64 {
+func (n *Network) delayOn(h *halfEdge, nc *nodeCtx, seq int64) int64 {
 	d := h.w
 	if !n.delayIsMax {
-		d = n.delay.Delay(n.g.Edge(h.eid), rng)
+		d = n.delay.Delay(n.g.Edge(h.eid), nc.draw(seq, drawDelay))
 	}
 	if d < 1 {
 		//costsense:alloc-ok cold path: a delay below 1 is a DelayModel bug and panics immediately
@@ -866,7 +863,8 @@ func (n *Network) delayOn(h *halfEdge, rng *rand.Rand) int64 {
 //
 //costsense:hotpath
 func (n *Network) schedule(h *halfEdge, nc *nodeCtx, to graph.NodeID, m Message, cl Class, flags uint8) {
-	d := n.delayOn(h, nc.rng)
+	nc.seq++
+	d := n.delayOn(h, nc, nc.seq)
 	last := n.lastArrive[h.did]
 	var at int64
 	if n.congested {
@@ -884,7 +882,6 @@ func (n *Network) schedule(h *halfEdge, nc *nodeCtx, to graph.NodeID, m Message,
 		}
 	}
 	n.lastArrive[h.did] = at
-	nc.seq++
 	n.sendSeq++
 	slot := n.allocSlot(m, n.sendSeq)
 	n.queue.Push(event{at: at, seq: nc.seq, to: int32(to), from: int32(nc.id), msgIdx: slot, flags: flags})
@@ -942,8 +939,6 @@ func (n *Network) Run() (*Stats, error) {
 //costsense:hotpath
 func (n *Network) run() (*Stats, error) {
 	n.ran = true
-	//costsense:alloc-ok first run on a network only: later runs re-seed the kept streams in place
-	n.materializeRNGs()
 	for v := range n.procs {
 		if n.faults != nil && n.faults.crashAt[v] <= 0 {
 			continue // fail-stop at t <= 0: the node never starts
