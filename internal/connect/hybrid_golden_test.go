@@ -66,16 +66,16 @@ func TestHybridGolden(t *testing.T) {
 	want := map[string]string{
 		"tree/max":          "dfs ev=270 msg=270 comm=1270 fin=1142 timers=0 used=e31d88c033967db0 tree=3fa80852734be622",
 		"tree/unit":         "dfs ev=270 msg=270 comm=1270 fin=230 timers=0 used=e31d88c033967db0 tree=3fa80852734be622",
-		"tree/uniform/3":    "dfs ev=270 msg=270 comm=1270 fin=733 timers=0 used=e31d88c033967db0 tree=3fa80852734be622",
-		"tree/uniform/11":   "dfs ev=270 msg=270 comm=1270 fin=744 timers=0 used=e31d88c033967db0 tree=3fa80852734be622",
+		"tree/uniform/3":    "dfs ev=270 msg=270 comm=1270 fin=695 timers=0 used=e31d88c033967db0 tree=3fa80852734be622",
+		"tree/uniform/11":   "dfs ev=270 msg=270 comm=1270 fin=696 timers=0 used=e31d88c033967db0 tree=3fa80852734be622",
 		"gn/max":            "mst ev=969 msg=969 comm=19380 fin=15580 timers=0 used=1dc3c8e95e094ff6 tree=03eea0770a024d67",
 		"gn/unit":           "mst ev=969 msg=969 comm=19380 fin=779 timers=0 used=1dc3c8e95e094ff6 tree=03eea0770a024d67",
-		"gn/uniform/3":      "mst ev=969 msg=969 comm=19380 fin=8558 timers=0 used=1dc3c8e95e094ff6 tree=03eea0770a024d67",
-		"gn/uniform/11":     "mst ev=969 msg=969 comm=19380 fin=8629 timers=0 used=1dc3c8e95e094ff6 tree=03eea0770a024d67",
+		"gn/uniform/3":      "mst ev=969 msg=969 comm=19380 fin=8351 timers=0 used=1dc3c8e95e094ff6 tree=03eea0770a024d67",
+		"gn/uniform/11":     "mst ev=969 msg=969 comm=19380 fin=8243 timers=0 used=1dc3c8e95e094ff6 tree=03eea0770a024d67",
 		"random/max":        "dfs ev=2356 msg=2356 comm=24755 fin=21406 timers=0 used=7c2b313dcff103ef tree=f094f70bf4a539bc",
 		"random/unit":       "dfs ev=2356 msg=2356 comm=24755 fin=1650 timers=0 used=7c2b313dcff103ef tree=f094f70bf4a539bc",
-		"random/uniform/3":  "dfs ev=2356 msg=2356 comm=24755 fin=11466 timers=0 used=7c2b313dcff103ef tree=f094f70bf4a539bc",
-		"random/uniform/11": "dfs ev=2356 msg=2356 comm=24755 fin=11793 timers=0 used=7c2b313dcff103ef tree=f094f70bf4a539bc",
+		"random/uniform/3":  "dfs ev=2356 msg=2356 comm=24755 fin=11251 timers=0 used=7c2b313dcff103ef tree=f094f70bf4a539bc",
+		"random/uniform/11": "dfs ev=2356 msg=2356 comm=24755 fin=11262 timers=0 used=7c2b313dcff103ef tree=f094f70bf4a539bc",
 	}
 	pool := sim.NewPool(2)
 	for _, gc := range hybridGoldenGraphs() {

@@ -38,16 +38,16 @@ func TestHybridGolden(t *testing.T) {
 	want := map[string]string{
 		"sparse/max":        "ghs ev=2070 msg=2070 comm=10173 fin=7079 timers=0 used=58fb9d556e1e9831 tree=d24214f851dd66a4",
 		"sparse/unit":       "ghs ev=2070 msg=2070 comm=10131 fin=1293 timers=0 used=58fb9d556e1e9831 tree=d24214f851dd66a4",
-		"sparse/uniform/3":  "ghs ev=2070 msg=2070 comm=10156 fin=4230 timers=0 used=58fb9d556e1e9831 tree=d24214f851dd66a4",
-		"sparse/uniform/11": "ghs ev=2070 msg=2070 comm=10155 fin=4262 timers=0 used=58fb9d556e1e9831 tree=d24214f851dd66a4",
+		"sparse/uniform/3":  "ghs ev=2070 msg=2070 comm=10175 fin=4212 timers=0 used=58fb9d556e1e9831 tree=d24214f851dd66a4",
+		"sparse/uniform/11": "ghs ev=2070 msg=2070 comm=10150 fin=4088 timers=0 used=58fb9d556e1e9831 tree=d24214f851dd66a4",
 		"gn/max":            "mstcentr ev=969 msg=969 comm=19380 fin=15580 timers=0 used=1dc3c8e95e094ff6 tree=ee3789f56e09781a",
 		"gn/unit":           "mstcentr ev=969 msg=969 comm=19380 fin=779 timers=0 used=1dc3c8e95e094ff6 tree=ee3789f56e09781a",
-		"gn/uniform/3":      "mstcentr ev=969 msg=969 comm=19380 fin=8558 timers=0 used=1dc3c8e95e094ff6 tree=ee3789f56e09781a",
-		"gn/uniform/11":     "mstcentr ev=969 msg=969 comm=19380 fin=8629 timers=0 used=1dc3c8e95e094ff6 tree=ee3789f56e09781a",
+		"gn/uniform/3":      "mstcentr ev=969 msg=969 comm=19380 fin=8351 timers=0 used=1dc3c8e95e094ff6 tree=ee3789f56e09781a",
+		"gn/uniform/11":     "mstcentr ev=969 msg=969 comm=19380 fin=8243 timers=0 used=1dc3c8e95e094ff6 tree=ee3789f56e09781a",
 		"random/max":        "ghs ev=2536 msg=2536 comm=33103 fin=23123 timers=0 used=7e79301e6ad93db5 tree=29b58703fffb494a",
 		"random/unit":       "ghs ev=2537 msg=2537 comm=33011 fin=1534 timers=0 used=7e79301e6ad93db5 tree=29b58703fffb494a",
-		"random/uniform/3":  "ghs ev=2538 msg=2538 comm=33089 fin=12369 timers=0 used=7e79301e6ad93db5 tree=29b58703fffb494a",
-		"random/uniform/11": "ghs ev=2538 msg=2538 comm=33079 fin=12645 timers=0 used=7e79301e6ad93db5 tree=29b58703fffb494a",
+		"random/uniform/3":  "ghs ev=2537 msg=2537 comm=33071 fin=12574 timers=0 used=7e79301e6ad93db5 tree=29b58703fffb494a",
+		"random/uniform/11": "ghs ev=2538 msg=2538 comm=33088 fin=12241 timers=0 used=7e79301e6ad93db5 tree=29b58703fffb494a",
 	}
 	graphs := []struct {
 		name string

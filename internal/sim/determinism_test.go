@@ -74,12 +74,15 @@ type detCase struct {
 
 // The golden values below pin the engine's observable behavior: any
 // queue or accounting rewrite must reproduce them bit-for-bit. They
-// were re-pinned exactly once when the engine moved to per-node push
-// sequences and per-node RNG streams (the event tie-break became
-// (at, from, seq) and delay/fault draws moved to the sender's own
-// stream) — the refactor that makes the order a function of each
-// node's own execution rather than of global interleaving. From that
-// point on, every run must match these values forever.
+// were re-pinned when the engine moved to per-node push sequences and
+// per-node RNG streams (the event tie-break became (at, from, seq) and
+// delay/fault draws moved to the sender's own stream) — the refactor
+// that makes the order a function of each node's own execution rather
+// than of global interleaving. The DelayUniform rows were re-pinned
+// once more when the streams gave way to keyed draws (draw), which
+// changed every random delay and nothing else; the DelayMax and
+// DelayUnit rows draw nothing and did not move. Every run must match
+// these values until the draw function itself changes.
 func detCases() []detCase {
 	return []detCase{
 		{name: "max/plain/seed1", delay: DelayMax{}, congested: false, seed: 1,
@@ -91,13 +94,13 @@ func detCases() []detCase {
 		{name: "unit/congested/seed1", delay: DelayUnit{}, congested: true, seed: 1,
 			want: goldenStats{Messages: 402, Comm: 6806, FinishTime: 6, Events: 402, ProtoMsgs: 201, ProtoComm: 3403, AckMsgs: 201, AckComm: 3403}},
 		{name: "uniform/plain/seed1", delay: DelayUniform{}, congested: false, seed: 1,
-			want: goldenStats{Messages: 402, Comm: 7046, FinishTime: 67, Events: 402, ProtoMsgs: 201, ProtoComm: 3523, AckMsgs: 201, AckComm: 3523}},
+			want: goldenStats{Messages: 402, Comm: 7016, FinishTime: 69, Events: 402, ProtoMsgs: 201, ProtoComm: 3508, AckMsgs: 201, AckComm: 3508}},
 		{name: "uniform/congested/seed1", delay: DelayUniform{}, congested: true, seed: 1,
-			want: goldenStats{Messages: 402, Comm: 7046, FinishTime: 67, Events: 402, ProtoMsgs: 201, ProtoComm: 3523, AckMsgs: 201, AckComm: 3523}},
+			want: goldenStats{Messages: 402, Comm: 7016, FinishTime: 69, Events: 402, ProtoMsgs: 201, ProtoComm: 3508, AckMsgs: 201, AckComm: 3508}},
 		{name: "uniform/plain/seed42", delay: DelayUniform{}, congested: false, seed: 42,
-			want: goldenStats{Messages: 402, Comm: 7096, FinishTime: 74, Events: 402, ProtoMsgs: 201, ProtoComm: 3548, AckMsgs: 201, AckComm: 3548}},
+			want: goldenStats{Messages: 402, Comm: 6952, FinishTime: 64, Events: 402, ProtoMsgs: 201, ProtoComm: 3476, AckMsgs: 201, AckComm: 3476}},
 		{name: "uniform/congested/seed42", delay: DelayUniform{}, congested: true, seed: 42,
-			want: goldenStats{Messages: 402, Comm: 7096, FinishTime: 74, Events: 402, ProtoMsgs: 201, ProtoComm: 3548, AckMsgs: 201, AckComm: 3548}},
+			want: goldenStats{Messages: 402, Comm: 6952, FinishTime: 65, Events: 402, ProtoMsgs: 201, ProtoComm: 3476, AckMsgs: 201, AckComm: 3476}},
 	}
 }
 
