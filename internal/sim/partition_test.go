@@ -78,14 +78,15 @@ func mergeShards(t *testing.T, serial []arrival, shardOf func(graph.NodeID) int,
 }
 
 // TestShardedMatchesSerial checks the property the per-node push
-// sequence and per-node RNG streams exist for: the engine's order is
+// sequence and the keyed draws exist for: the engine's order is
 // the total order (time, sender, sender's sequence), so it is the same
 // whichever way the nodes are grouped. For every golden case, clean
 // and under a fault plan, the serial run's arrivals are split into 2,
 // 4 and #clusters shards along the synchronizer-γ clusters; each
 // shard's stream must be key-ordered on its own and merging the shards
 // by key must give back the serial stream exactly. The observed run's
-// Stats must equal an unobserved run's, and the clean ones the golden.
+// Stats must equal an unobserved run's (TestStatsGolden owns the
+// golden values).
 func TestShardedMatchesSerial(t *testing.T) {
 	g := graph.RandomConnected(40, 120, graph.UniformWeights(32, 7), 7)
 	clusterOf := cover.NewPartitionGrowth(g, 2).ClusterOf
@@ -128,9 +129,6 @@ func TestShardedMatchesSerial(t *testing.T) {
 					observed := run(t, append(opts, WithObserver(log))...)
 					if !reflect.DeepEqual(plain, observed) {
 						t.Errorf("observer changed Stats:\n plain    %+v\n observed %+v", plain, observed)
-					}
-					if fp.plan == nil && flatten(plain) != c.want {
-						t.Errorf("stats diverged from golden:\n got  %+v\n want %+v", flatten(plain), c.want)
 					}
 					if int64(len(log.got)) != plain.Events {
 						t.Fatalf("%d arrivals logged, Stats.Events = %d", len(log.got), plain.Events)

@@ -286,12 +286,13 @@ func (f *reflooder) forward(ctx Context) {
 }
 
 // TestPooledRunAllocsDoNotGrowWithEvents is the pooled-sweep contract
-// for the queue and the per-node RNGs: once a Network has run, a Reset
+// for the queue and the random draws: once a Network has run, a Reset
 // and another Run of the same flood allocate a handful of objects (the
 // trace map, the ByClass view), however many events the run delivers
 // and however many nodes draw random delays. Drawing costs nothing
-// extra: under DelayUniform the per-node streams are re-seeded in
-// place, so the run allocates no more than the same run under DelayMax.
+// extra: a draw is a hash of the seed, the node and its push sequence,
+// with no state to allocate or re-seed, so the run under DelayUniform
+// allocates no more than the same run under DelayMax.
 func TestPooledRunAllocsDoNotGrowWithEvents(t *testing.T) {
 	for _, size := range []struct{ n, m int }{{200, 800}, {2000, 16000}} {
 		var maxAllocs float64
@@ -317,7 +318,7 @@ func TestPooledRunAllocsDoNotGrowWithEvents(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			run() // grow the buckets, the arena and the RNGs once
+			run() // grow the buckets and the arena once
 			allocs := testing.AllocsPerRun(5, run)
 			if events < int64(size.m) {
 				t.Fatalf("flood delivered only %d events on %d edges", events, size.m)
