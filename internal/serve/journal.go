@@ -16,10 +16,15 @@ import (
 // job journal. Every job state transition is one fsync'd record, so a
 // crash — kill -9 included — loses at most the record being written,
 // and that only as a torn final line the next startup truncates away.
-// Because a result is a pure function of its spec (the service's core
-// contract), the journal does not need to checkpoint sweep progress:
-// replaying an incomplete job's spec after a restart reproduces its
-// result byte for byte. Records are byte-deterministic apart from
+// Because a result is a pure function of its spec and the engine
+// version (the service's core contract), the journal does not need to
+// checkpoint sweep progress: replaying an incomplete job's spec after
+// a restart reproduces its result byte for byte. Across an engine
+// change that moves results (as keyed random draws moved every
+// uniform-delay and faulty run), a finished job keeps the bytes its
+// engine journaled, and an incomplete one re-runs on the new engine to
+// what a fresh submission there gets (TestRecoveryAcrossDrawChange).
+// Records are byte-deterministic apart from
 // their timestamps, which flow through nowUnixNano — the package's one
 // audited wall-clock choke point.
 //

@@ -228,6 +228,70 @@ func TestRecoverySharded(t *testing.T) {
 	}
 }
 
+// TestRecoveryAcrossDrawChange: testdata/stream-rng-v1.journal was
+// written by a server whose engine drew random delays from per-node
+// math/rand streams, before draws became keyed hashes. job-000001, a
+// uniform-delay flood, ran to the end; job-000002, a uniform-delay
+// GHS, was submitted and the server died before it started (the file
+// ends at that record). A result is a pure function of its spec and
+// the engine version: the finished job keeps its journaled bytes,
+// which a run of its spec on this engine no longer reproduces, and the
+// unfinished one re-runs to exactly what a fresh submission gets here.
+func TestRecoveryAcrossDrawChange(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "stream-rng-v1.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	recs := make([]journalRecord, len(lines))
+	for i, l := range lines {
+		if err := json.Unmarshal(l, &recs[i]); err != nil {
+			t.Fatalf("record %d: %v", i+1, err)
+		}
+	}
+	if len(recs) != 4 || recs[2].Op != opFinished || recs[3].Op != opSubmitted {
+		t.Fatalf("fixture is not finished job + submitted job: %d records", len(recs))
+	}
+
+	s, err := openOnBytes(t, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+	j1 := s.job("job-000001")
+	if j1 == nil || j1.state.Load() != jobDone || string(j1.result) != recs[2].Result {
+		t.Fatal("finished job not restored with its journaled bytes")
+	}
+	waitDone(t, s, "job-000002")
+	j2 := s.job("job-000002")
+	if st := j2.status(); st.State != "done" || !st.Recovered {
+		t.Fatalf("recovered job state=%s recovered=%v error=%q", st.State, st.Recovered, st.Error)
+	}
+
+	ref, refTS := testServer(t, Config{})
+	fresh := func(spec Spec) []byte {
+		t.Helper()
+		code, out, _ := postSpec(t, refTS, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("reference submit: status %d (%v)", code, out)
+		}
+		id := out["id"].(string)
+		waitDone(t, ref, id)
+		return fetchResult(t, refTS, id)
+	}
+	if want := fresh(*recs[3].Spec); !bytes.Equal(j2.result, want) {
+		t.Fatalf("recovered job differs from a fresh run:\n got %s\nwant %s", j2.result, want)
+	}
+	if string(fresh(*recs[0].Spec)) == recs[2].Result {
+		t.Fatal("the journaled uniform-delay result is what this engine computes; the fixture no longer spans the draw change")
+	}
+}
+
 // TestRecoveryRestoresFailedJobs: a journaled failure (here: killed by
 // a second SIGTERM) is reported on the next start, reason intact, not
 // re-run.
