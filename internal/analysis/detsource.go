@@ -10,10 +10,10 @@ import (
 // globally-seeded math/rand and math/rand/v2 top-level functions, and
 // scheduler/host queries (runtime.GOMAXPROCS, NumCPU, NumGoroutine)
 // whose answers vary across machines. Simulator and protocol code must
-// draw randomness from the per-trial seeded *rand.Rand the Network
-// owns (sim.WithSeed), so a fixed seed replays the exact event
-// sequence — the property every golden Stats test and every figure in
-// EXPERIMENTS.md depends on.
+// draw randomness from a seeded source — the engine's keyed draws
+// (sim.WithSeed) or an explicitly seeded generator — so a fixed seed
+// replays the exact event sequence — the property every golden Stats
+// test and every figure in EXPERIMENTS.md depends on.
 //
 // rand.New, rand.NewSource and the other constructor functions stay
 // legal: building an explicitly-seeded generator is the sanctioned
@@ -77,7 +77,7 @@ func runDetsource(pass *Pass) {
 			case "math/rand", "math/rand/v2":
 				if !randConstructors[name] {
 					pass.Report(call.Pos(),
-						"global %s.%s uses shared, unseeded state; use the per-trial seeded *rand.Rand (sim.WithSeed)",
+						"global %s.%s uses shared, unseeded state; use a seeded source (sim.WithSeed, or rand.New over an explicit seed)",
 						pathBase(path), name)
 				}
 			default:

@@ -68,7 +68,7 @@ func TestKeyedDraws(t *testing.T) {
 		}
 		// Every send draws its drop; only the ones not dropped draw a dup.
 		for _, c := range []struct {
-			what       string
+			what        string
 			got, trials int64
 		}{
 			{"dropped", st.Dropped, st.Messages},
