@@ -840,15 +840,16 @@ func (n *Network) send(from, to graph.NodeID, m Message, cl Class) {
 	}
 }
 
-// delayOn picks the delay on h of nc's transmission seq and enforces
-// the DelayModel contract where the value is consumed: below 1 it
-// would arrive no later than the instant being handled.
+// delayOn picks the delay on h of nc's latest transmission (numbered
+// nc.seq) and enforces the DelayModel contract where the value is
+// consumed: below 1 it would arrive no later than the instant being
+// handled.
 //
 //costsense:hotpath
-func (n *Network) delayOn(h *halfEdge, nc *nodeCtx, seq int64) int64 {
+func (n *Network) delayOn(h *halfEdge, nc *nodeCtx) int64 {
 	d := h.w
 	if !n.delayIsMax {
-		d = n.delay.Delay(n.g.Edge(h.eid), nc.draw(seq, drawDelay))
+		d = n.delay.Delay(n.g.Edge(h.eid), nc.draw(nc.seq, drawDelay))
 	}
 	if d < 1 {
 		//costsense:alloc-ok cold path: a delay below 1 is a DelayModel bug and panics immediately
@@ -864,7 +865,7 @@ func (n *Network) delayOn(h *halfEdge, nc *nodeCtx, seq int64) int64 {
 //costsense:hotpath
 func (n *Network) schedule(h *halfEdge, nc *nodeCtx, to graph.NodeID, m Message, cl Class, flags uint8) {
 	nc.seq++
-	d := n.delayOn(h, nc, nc.seq)
+	d := n.delayOn(h, nc)
 	last := n.lastArrive[h.did]
 	var at int64
 	if n.congested {
