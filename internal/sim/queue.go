@@ -1,39 +1,54 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
 )
 
 // eventQueue is the serial engine's pending-event queue: a monotone
-// radix queue over the integer event times of the paper's model. It
-// delivers events in exactly event.Less order — (at, from, seq) — but
-// relies on one thing a general heap cannot: every Push is strictly
-// later than the instant being delivered (see Push), so time never has
-// to be re-ordered behind the cursor.
+// radix queue over the integer event times of the paper's model, with
+// a direct-indexed block of 64 instants under it. It delivers events in
+// exactly event.Less order — (at, from, seq) — but relies on one thing
+// a general heap cannot: every Push is strictly later than the instant
+// being delivered (see Push), so time never has to be re-ordered behind
+// the cursor.
 //
-// Events of the current instant sit in cur, sorted by (from, seq), and
-// Pop is a cursor read. Every other event sits in later[i], where
-// i = bits.Len64(at ^ now) is one more than the highest bit in which
-// its time differs from now; nothing inside a bucket is ordered. When
-// cur runs out, the lowest non-empty bucket holds the minimum pending
-// time: its events at that minimum become the new cur and the rest
-// fall into strictly lower buckets, so an event is moved at most once
-// per bit of its delay and never compared against another event
-// except inside the one sort of its own instant. Buckets above the
-// redistributed one are untouched — the new now agrees with the old on
-// every bit at or above theirs.
+// An event whose time lies in now's 64-aligned block (at ^ now < 64)
+// is appended to block[at & 63], and bit at & 63 of occ is set; once
+// there it never moves, and the next instant is the lowest set bit of
+// occ. Every other event sits in later[i], where i = bits.Len64(at ^
+// now) >= 7 is one more than the highest bit in which its time differs
+// from now; nothing inside a bucket is ordered, and moving now inside
+// its block changes no event's bucket. When the block runs dry, the
+// lowest non-empty bucket holds the minimum pending time: one scan
+// finds it, and a second moves that bucket's events at the minimum
+// straight into front, the next instant, sends its other events in
+// the minimum's block to their slots and drops the rest into strictly
+// lower buckets. Sparse traffic thus moves each event once, as a
+// bucket-only queue would, and an event is moved at most once per bit
+// of its delay above the sixth. Buckets above the redistributed one are
+// untouched — the new now agrees with the old on every bit at or above
+// theirs.
 //
-// The zero value is an empty queue at time 0. Reset keeps every
-// bucket's storage, so a pooled Network pushes into warm slices.
+// An instant is sorted by (from, seq) once, when it becomes current
+// (sortInstant), and Pop reads it off a cursor. A slot is emptied as
+// it becomes current: cur keeps reading its array, and nothing appends
+// to the slot again before the block moves on.
+//
+// The zero value is an empty queue at time 0. Reset keeps all storage,
+// so a pooled Network pushes into warm slices; fit carves the 64 slots
+// out of one backing slice.
 type eventQueue struct {
 	now      int64
 	n        int     // events pending, cur's unread tail included
 	head     int     // next unread index of cur
+	occ      uint64  // bit s set iff block[s] holds events after now
 	nonEmpty uint64  // bit i set iff later[i] has events
 	cur      []event // the events at time now, in (from, seq) order
+	front    []event // the events at a minimum taken from a bucket
+	tmp      []event // the counting pass's second buffer
+	block    [64][]event
 	later    [64][]event
 }
 
@@ -55,11 +70,17 @@ func (q *eventQueue) Push(ev event) {
 		//costsense:alloc-ok cold path: an engine bug, panics immediately
 		panic(fmt.Sprintf("sim: event from node %d to node %d scheduled at time %d, not after the current time %d", ev.from, ev.to, ev.at, q.now))
 	}
-	i := bits.Len64(uint64(ev.at ^ q.now))
-	// Amortized growth only: a bucket keeps its high-water capacity
-	// across advance and Reset.
-	q.later[i] = append(q.later[i], ev)
-	q.nonEmpty |= 1 << i
+	// Amortized growth only: slots and buckets keep their high-water
+	// capacity across advance and Reset.
+	if d := uint64(ev.at ^ q.now); d < 64 {
+		s := ev.at & 63
+		q.block[s] = append(q.block[s], ev)
+		q.occ |= 1 << s
+	} else {
+		i := bits.Len64(d)
+		q.later[i] = append(q.later[i], ev)
+		q.nonEmpty |= 1 << i
+	}
 	q.n++
 }
 
@@ -78,60 +99,106 @@ func (q *eventQueue) Pop() event {
 }
 
 // advance moves now to the minimum pending time and makes that
-// instant's events cur.
+// instant's events cur: the lowest occupied slot of the block, or, when
+// the block is empty, the events at the minimum of the lowest non-empty
+// bucket, which it gathers in front while it sends the bucket's other
+// events in the minimum's block to their slots and the rest to lower
+// buckets.
 //
 //costsense:hotpath
 func (q *eventQueue) advance() {
-	i := bits.TrailingZeros64(q.nonEmpty)
-	b := q.later[i]
-	min := b[0].at
-	for k := 1; k < len(b); k++ {
-		if b[k].at < min {
-			min = b[k].at
+	var a []event
+	if q.occ != 0 {
+		s := bits.TrailingZeros64(q.occ)
+		q.occ &^= 1 << s
+		q.now = q.now&^63 | int64(s)
+		a = q.block[s]
+		// Nothing is appended to slot s again until the block moves
+		// on, and by then a has been read.
+		q.block[s] = a[:0]
+	} else {
+		i := bits.TrailingZeros64(q.nonEmpty)
+		b := q.later[i]
+		min := b[0].at
+		for k := 1; k < len(b); k++ {
+			if b[k].at < min {
+				min = b[k].at
+			}
 		}
-	}
-	cur := q.cur[:0]
-	for _, ev := range b {
-		if ev.at == min {
-			cur = append(cur, ev)
-			continue
+		a = q.front[:0]
+		for _, ev := range b {
+			switch d := uint64(ev.at ^ min); {
+			case d == 0:
+				a = append(a, ev)
+			case d < 64:
+				s := ev.at & 63
+				q.block[s] = append(q.block[s], ev)
+				q.occ |= 1 << s
+			default:
+				j := bits.Len64(d) // < i: ev and min agree from bit i-1 up
+				q.later[j] = append(q.later[j], ev)
+				q.nonEmpty |= 1 << j
+			}
 		}
-		j := bits.Len64(uint64(ev.at ^ min)) // < i: ev and min agree from bit i-1 up
-		q.later[j] = append(q.later[j], ev)
-		q.nonEmpty |= 1 << j
+		q.later[i] = b[:0]
+		q.nonEmpty &^= 1 << i
+		q.now, q.front = min, a
 	}
-	q.later[i] = b[:0]
-	q.nonEmpty &^= 1 << i
-	q.now, q.cur, q.head = min, cur, 0
-	sortInstant(cur, 2*bits.Len(uint(len(cur))))
+	if len(a) > insertionMax && cap(q.tmp) < len(a) {
+		q.tmp = slices.Grow(q.tmp[:0], len(a))
+	}
+	q.cur, q.head = sortInstant(a, q.tmp[:cap(q.tmp)]), 0
 }
 
-// Reset empties the queue and returns it to time 0, keeping every
-// bucket's storage. Events are pointer-free, so nothing needs zeroing.
+// Reset empties the queue and returns it to time 0, keeping all
+// storage. Events are pointer-free, so nothing needs zeroing.
 //
 //costsense:hotpath
 func (q *eventQueue) Reset() {
+	for s := range q.block {
+		q.block[s] = q.block[s][:0]
+	}
 	for m := q.nonEmpty; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		q.later[i] = q.later[i][:0]
 	}
-	q.now, q.n, q.head, q.nonEmpty, q.cur = 0, 0, 0, 0, q.cur[:0]
+	q.now, q.n, q.head, q.occ, q.nonEmpty, q.cur = 0, 0, 0, 0, 0, nil
 }
 
-// fit empties the queue for a Network rebound to another graph: it
-// keeps the bucket storage when that totals at most limit events and
-// drops all of it otherwise, so a queue grown on a large graph is not
-// pinned by a small one.
-func (q *eventQueue) fit(limit int) {
+// fit empties the queue for a Network bound to a graph whose block
+// should hold about need events: it drops all storage when keeping it
+// would total more than limit events, so a queue grown on a large graph
+// is not pinned by a small one, and carves the 64 slots out of one new
+// backing slice, need/64 events each, when they hold fewer than that,
+// so a fresh Network allocates one object for its block instead of
+// growing 64 slices.
+func (q *eventQueue) fit(need, limit int) {
 	q.Reset()
-	total := cap(q.cur)
-	for i := range q.later {
-		total += cap(q.later[i])
+	w := need / 64
+	blockCap, rest := 0, cap(q.front)+cap(q.tmp)
+	for i := range q.block {
+		blockCap += cap(q.block[i])
+		rest += cap(q.later[i])
 	}
-	if total > limit {
+	carve := blockCap < 64*w
+	if carve {
+		blockCap = 64 * w
+	}
+	if blockCap+rest > limit {
 		*q = eventQueue{}
+		carve = w > 0
+	}
+	if carve {
+		all := make([]event, 64*w)
+		for s := range q.block {
+			q.block[s] = all[s*w : s*w : (s+1)*w]
+		}
 	}
 }
+
+// insertionMax is the largest instant sortInstant orders by insertion
+// alone; above it a counting pass on the sender comes first.
+const insertionMax = 24
 
 // sameInstantLess orders two events of one instant by (from, seq), the
 // tail of event.Less.
@@ -141,68 +208,18 @@ func sameInstantLess(a, b event) bool {
 	return a.from < b.from || (a.from == b.from && a.seq < b.seq)
 }
 
-// sameInstantCmp is sameInstantLess as a three-way comparison.
+// sortInstant sorts the events of one instant by (from, seq) and
+// returns them, in a or in tmp. Up to insertionMax events it is an
+// insertion sort. Above that, bySender orders them by from first, and
+// the same insertion sort then puts each sender's run in seq order: a
+// slot's order is arrival order, not seq order, but it is close to it,
+// so the fix-up moves few events. tmp must hold len(a) events when
+// len(a) > insertionMax.
 //
 //costsense:hotpath
-func sameInstantCmp(a, b event) int {
-	if c := cmp.Compare(a.from, b.from); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.seq, b.seq)
-}
-
-// sortInstant sorts the events of one instant by (from, seq): insertion
-// sort for the short runs almost every instant is, a median-of-three
-// quicksort above that. Keys are unique, so the quicksort only
-// degenerates on adversarial order; depth bounds that case and hands
-// it to the library sort. It is written out rather than a call to
-// slices.SortFunc so the comparison inlines into the loops.
-//
-//costsense:hotpath
-func sortInstant(a []event, depth int) {
-	for len(a) > 12 {
-		if depth == 0 {
-			slices.SortFunc(a, sameInstantCmp)
-			return
-		}
-		depth--
-		// Median of three to a[0], then Hoare partition around it.
-		m, hi := len(a)/2, len(a)-1
-		if sameInstantLess(a[m], a[0]) {
-			a[m], a[0] = a[0], a[m]
-		}
-		if sameInstantLess(a[hi], a[m]) {
-			a[hi], a[m] = a[m], a[hi]
-			if sameInstantLess(a[m], a[0]) {
-				a[m], a[0] = a[0], a[m]
-			}
-		}
-		a[0], a[m] = a[m], a[0]
-		p := a[0]
-		i, j := 1, hi
-		for {
-			for i <= j && sameInstantLess(a[i], p) {
-				i++
-			}
-			for i <= j && sameInstantLess(p, a[j]) {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-			i++
-			j--
-		}
-		a[0], a[j] = a[j], a[0]
-		// Recurse into the smaller side, loop on the larger.
-		if j < len(a)-j-1 {
-			sortInstant(a[:j], depth)
-			a = a[j+1:]
-		} else {
-			sortInstant(a[j+1:], depth)
-			a = a[:j]
-		}
+func sortInstant(a, tmp []event) []event {
+	if len(a) > insertionMax {
+		a = bySender(a, tmp[:len(a)])
 	}
 	for i := 1; i < len(a); i++ {
 		x := a[i]
@@ -212,4 +229,37 @@ func sortInstant(a []event, depth int) {
 		}
 		a[j] = x
 	}
+	return a
+}
+
+// bySender sorts a stably by from: one LSD counting pass per byte of
+// the sender span (from − min from), back and forth between a and tmp,
+// so it returns a after an even number of passes and tmp after an odd
+// one. tmp must be as long as a.
+//
+//costsense:hotpath
+func bySender(a, tmp []event) []event {
+	lo, hi := a[0].from, a[0].from
+	for _, ev := range a[1:] {
+		lo, hi = min(lo, ev.from), max(hi, ev.from)
+	}
+	span := uint32(hi - lo)
+	src, dst := a, tmp
+	for shift := uint(0); span>>shift != 0; shift += 8 {
+		var at [256]int32 // digit d's next position in dst
+		for _, ev := range src {
+			at[uint8(uint32(ev.from-lo)>>shift)]++
+		}
+		pos := int32(0)
+		for d, c := range at[:min(span>>shift, 255)+1] {
+			at[d], pos = pos, pos+c
+		}
+		for _, ev := range src {
+			d := uint8(uint32(ev.from-lo) >> shift)
+			dst[at[d]] = ev
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }

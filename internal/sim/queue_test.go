@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -107,13 +108,47 @@ func TestEventQueueScenarios(t *testing.T) {
 		}
 		return out
 	}
-	var bigInstant []queueOp // 500 events on one instant from descending senders: the quicksort path
+	var bigInstant []queueOp // 500 events on one instant from descending senders: the counting pass
 	for i := 0; i < 500; i++ {
 		bigInstant = append(bigInstant, push(9, int32(500-i)))
+	}
+	// spanInstant puts 60 events on one instant from senders spread
+	// over [0, span], so the counting pass takes one pass per byte of
+	// span; every third sender repeats so runs need the seq fix-up.
+	spanInstant := func(span int32) []queueOp {
+		var ops []queueOp
+		for i := int32(0); i < 60; i++ {
+			ops = append(ops, push(3, span/59*((i*37)%60)), push(3, span/59*((i*37)%60/3*3)))
+		}
+		return ops
+	}
+	// Across the block boundary: now = 40, then one push at each of
+	// now+1 … now+65 (41 … 105 straddle 64) from two senders.
+	var boundary []queueOp
+	boundary = append(boundary, push(40, 0), pop)
+	for d := int64(65); d >= 1; d-- {
+		boundary = append(boundary, push(d, int32(d%3)), push(d, int32(d%2)))
 	}
 	cases := map[string][]queueOp{
 		"one instant, many senders": bigInstant,
 		"one instant, one sender":   repeat(300, push(4, 3)),
+		"one sender, above the threshold, through the cascade": slices.Concat(
+			repeat(40, push(300, 5), push(1, 5)), // now moves 1 by 1 while 300 ahead stays in a bucket
+			repeat(30, pop, push(299, 5)),
+		),
+		"sender spans of 1, 2 and 4 bytes": slices.Concat(spanInstant(200), []queueOp{pop}, spanInstant(60000), []queueOp{pop}, spanInstant(1<<30)),
+		"pushes at now+1 … now+65 across a block boundary": slices.Concat(
+			boundary,
+			repeat(20, pop, push(1, 4), push(64, 1), push(65, 2)),
+		),
+		"the block empties while a bucket holds the next minimum beside in-block events": slices.Concat(
+			// At now = 0 the times 130 … 250 share bucket 8; 130 is the
+			// minimum, 140 and 190 share its block, 200 and 250 drop to
+			// bucket 7; 5 and 60 are in the block from the start.
+			[]queueOp{push(250, 1), push(140, 2), push(5, 0), push(200, 0), push(130, 3), push(190, 1), push(130, 0), push(60, 4)},
+			repeat(3, pop, push(140, 1)),
+			repeat(9, pop),
+		),
 		"pushes while an instant drains": slices.Concat(
 			repeat(20, push(5, 1), push(5, 0)), // 40 events at t=5
 			repeat(15, pop, push(1, 2), push(3, 0), pop, push(1, 1)),
@@ -136,18 +171,36 @@ func TestEventQueueScenarios(t *testing.T) {
 	}
 }
 
-// TestSortInstantFallback forces the depth-exhausted branch, which
-// median-of-three keeps real inputs away from.
+// TestSortInstantFallback drives sortInstant's counting pass and its
+// seq fix-up directly, on instants whose sender spans take zero to four
+// byte passes and whose senders repeat with scrambled seq: bySender
+// must leave them ordered by sender and, within a sender, in input
+// order, and sortInstant must agree with a comparison sort.
 func TestSortInstantFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := make([]event, 200)
-	for i := range a {
-		a[i] = event{from: rng.Int31n(20), seq: int64(i)}
-	}
-	rng.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-	sortInstant(a, 0)
-	if !slices.IsSortedFunc(a, sameInstantCmp) {
-		t.Fatal("depth-0 sortInstant left the instant unsorted")
+	for _, span := range []int32{0, 1, 20, 255, 256, 60000, 1 << 20, 1<<31 - 1} {
+		for _, n := range []int{insertionMax + 1, 200} {
+			a := make([]event, n)
+			for i := range a {
+				from := int32(rng.Int63n(int64(span) + 1))
+				if i > 0 && rng.Intn(3) == 0 {
+					from = a[rng.Intn(i)].from // a second event from an earlier sender
+				}
+				a[i] = event{at: 7, from: from, seq: rng.Int63(), msgIdx: int32(i)}
+			}
+			stable := slices.Clone(a)
+			slices.SortStableFunc(stable, func(x, y event) int { return cmp.Compare(x.from, y.from) })
+			if got := bySender(slices.Clone(a), make([]event, n)); !slices.Equal(got, stable) {
+				t.Errorf("span %d, %d events: bySender is not a stable sort by sender", span, n)
+			}
+			want := slices.Clone(a)
+			slices.SortFunc(want, func(x, y event) int {
+				return cmp.Or(cmp.Compare(x.from, y.from), cmp.Compare(x.seq, y.seq))
+			})
+			if got := sortInstant(a, make([]event, n)); !slices.Equal(got, want) {
+				t.Errorf("span %d, %d events: sortInstant disagrees with a comparison sort", span, n)
+			}
+		}
 	}
 }
 

@@ -33,9 +33,9 @@ func runPooled(t *testing.T, p *Pool, g *graph.Graph) *Network {
 func storageBound(t *testing.T, n *Network) {
 	t.Helper()
 	nv, m2 := n.g.N(), 2*n.g.M()
-	qcap := cap(n.queue.cur)
+	qcap := cap(n.queue.front) + cap(n.queue.tmp)
 	for i := range n.queue.later {
-		qcap += cap(n.queue.later[i])
+		qcap += cap(n.queue.block[i]) + cap(n.queue.later[i])
 	}
 	for _, b := range []struct {
 		name         string

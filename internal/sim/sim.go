@@ -437,7 +437,7 @@ func (n *Network) bindGraph(g *graph.Graph) {
 		n.msgFree = nil
 	}
 	n.msgFree = n.msgFree[:0]
-	n.queue.fit(2 * m2)
+	n.queue.fit(m2, 2*m2)
 	if n.traces == nil {
 		n.traces = make(map[string][]TracePoint)
 	}
