@@ -437,7 +437,9 @@ func (n *Network) bindGraph(g *graph.Graph) {
 		n.msgFree = nil
 	}
 	n.msgFree = n.msgFree[:0]
-	n.queue.fit(m2, 2*m2)
+	// Every delay is at most W, so about min(1, 64/W) of the events in
+	// flight are due within the queue's 64-instant block.
+	n.queue.fit(m2*64/int(max(g.MaxWeight(), 64)), 2*m2)
 	if n.traces == nil {
 		n.traces = make(map[string][]TracePoint)
 	}
