@@ -114,8 +114,9 @@ func (q *eventQueue) advance() {
 		q.now = q.now&^63 | int64(s)
 		a = q.block[s]
 		// Nothing is appended to slot s again until the block moves
-		// on, and by then a has been read.
-		q.block[s] = a[:0]
+		// on, and by then a has been read. (Self-slicing stores only
+		// the length: no write barrier.)
+		q.block[s] = q.block[s][:0]
 	} else {
 		i := bits.TrailingZeros64(q.nonEmpty)
 		b := q.later[i]
@@ -125,11 +126,11 @@ func (q *eventQueue) advance() {
 				min = b[k].at
 			}
 		}
-		a = q.front[:0]
+		q.front = q.front[:0]
 		for _, ev := range b {
 			switch d := uint64(ev.at ^ min); {
 			case d == 0:
-				a = append(a, ev)
+				q.front = append(q.front, ev)
 			case d < 64:
 				s := ev.at & 63
 				q.block[s] = append(q.block[s], ev)
@@ -140,9 +141,9 @@ func (q *eventQueue) advance() {
 				q.nonEmpty |= 1 << j
 			}
 		}
-		q.later[i] = b[:0]
+		q.later[i] = q.later[i][:0]
 		q.nonEmpty &^= 1 << i
-		q.now, q.front = min, a
+		q.now, a = min, q.front
 	}
 	if len(a) > insertionMax && cap(q.tmp) < len(a) {
 		q.tmp = slices.Grow(q.tmp[:0], len(a))
