@@ -12,9 +12,10 @@
 #   ./scripts/bench.sh
 #
 # Guard mode diffs a fresh measurement against the checked-in
-# BENCH_sim.json instead of overwriting it, and fails when allocs/op
-# regresses by more than 15% (events/sec is reported but not gated —
-# CI timing is too noisy). CI's bench-smoke job runs this:
+# BENCH_sim.json instead of overwriting it, and fails when the flood's
+# or the pooled sweep's allocs/op regresses by more than 15% (events/sec
+# and wall clock are reported but not gated — CI timing is too noisy).
+# CI's bench-smoke job runs this:
 #
 #   BENCH_CHECK=1 ./scripts/bench.sh
 set -eu
@@ -40,13 +41,15 @@ fi
 # The hot-path trio runs COUNT times. The sweep pair
 # (BenchmarkEngineSweepFresh / BenchmarkEngineSweepPooled, one op = a
 # 100-trial sweep) tracks the experiment service's substrate-cache +
-# pooled-Reset win; BENCH_SWEEP=0 skips it.
+# pooled-Reset win; BENCH_SWEEP=0 skips it. It runs at GOMAXPROCS 2:
+# every trial worker builds its own pooled network, so the pooled
+# sweep's allocs/op, which the guard gates, grows with the worker count.
 {
 	go test -run '^$' -bench '^BenchmarkEngine(Flood|Observed|Causal|Faulty)$' -benchmem \
 		-benchtime "${BENCH_TIME:-5x}" -count "$COUNT" .
 	if [ "${BENCH_SWEEP:-1}" = "1" ]; then
 		go test -run '^$' -bench '^BenchmarkEngineSweep(Fresh|Pooled)$' -benchmem \
-			-benchtime "${BENCH_SWEEP_TIME:-3x}" -count "$COUNT" .
+			-benchtime "${BENCH_SWEEP_TIME:-3x}" -count "$COUNT" -cpu 2 .
 	fi
 } |
 	tee /dev/stderr |

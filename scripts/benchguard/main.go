@@ -10,8 +10,13 @@
 //	go run ./scripts/benchguard BENCH_sim.json fresh.json [max-allocs-regress]
 //
 // The third argument is the tolerated fractional increase of
-// allocs/op, default 0.15 (+15%). Throughput (events/sec) is reported
-// as information only — CI machines are too noisy to gate on timing —
+// allocs/op, default 0.15 (+15%). It gates two counts: the flood's
+// (BenchmarkEngineFlood) and the pooled sweep's
+// (BenchmarkEngineSweepPooled, one op = a 100-trial sweep, which
+// scripts/bench.sh runs at a fixed GOMAXPROCS so that the number of
+// pooled networks, and with it the count, does not depend on the
+// machine). Throughput (events/sec) and wall clock are reported as
+// information only — CI machines are too noisy to gate on timing —
 // but allocs/op is scheduler-independent, so it gates.
 package main
 
@@ -78,10 +83,20 @@ func guard(args []string) error {
 			base.EventsPerSec, fresh.EventsPerSec, (fresh.EventsPerSec/base.EventsPerSec-1)*100)
 	}
 
-	if allocsRatio > 1+maxRegress {
-		return fmt.Errorf("allocs/op regressed %.1f%% (> %.0f%% budget): %.0f -> %.0f; "+
-			"run ./scripts/bench.sh locally and either fix the allocation or update BENCH_sim.json with justification",
-			(allocsRatio-1)*100, maxRegress*100, base.AllocsPerOp, fresh.AllocsPerOp)
+	if err := allocGate("flood", base.AllocsPerOp, fresh.AllocsPerOp, maxRegress); err != nil {
+		return err
+	}
+
+	// The pooled sweep gates under the same budget when both documents
+	// carry it (BENCH_SWEEP=0 skips measuring it).
+	if baseDoc, err := loadDoc(args[0]); err == nil && baseDoc.SweepPooled != nil && baseDoc.SweepPooled.AllocsPerOp > 0 {
+		if freshDoc, err := loadDoc(args[1]); err == nil && freshDoc.SweepPooled != nil {
+			b, f := baseDoc.SweepPooled.AllocsPerOp, freshDoc.SweepPooled.AllocsPerOp
+			fmt.Printf("sweep allocs/op: baseline %.0f, fresh %.0f (%+.1f%%)\n", b, f, (f/b-1)*100)
+			if err := allocGate("pooled sweep", b, f, maxRegress); err != nil {
+				return err
+			}
+		}
 	}
 
 	// Observer-disabled overhead: the gated numbers above ARE the
@@ -111,6 +126,17 @@ func guard(args []string) error {
 			d.SweepFresh.NsPerOp, d.SweepPooled.NsPerOp, d.SweepFresh.NsPerOp/d.SweepPooled.NsPerOp)
 	}
 	fmt.Println("benchguard: allocation contract holds")
+	return nil
+}
+
+// allocGate fails when fresh allocs/op exceed base by more than the
+// maxRegress fraction.
+func allocGate(what string, base, fresh, maxRegress float64) error {
+	if r := fresh / base; r > 1+maxRegress {
+		return fmt.Errorf("%s allocs/op regressed %.1f%% (> %.0f%% budget): %.0f -> %.0f; "+
+			"run ./scripts/bench.sh locally and either fix the allocation or update BENCH_sim.json with justification",
+			what, (r-1)*100, maxRegress*100, base, fresh)
+	}
 	return nil
 }
 

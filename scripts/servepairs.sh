@@ -9,12 +9,13 @@
 # in this one, pair by pair, the same seed inside a pair and the side
 # that goes first alternating from pair to pair (seconds 26, trace 0,
 # as BENCHMARK.json declares), and prints each run's last line, the
-# benchmark's JSON verdict, tagged with side, workload and seed.
-# `table` reduces such a file to one markdown row per workload and
-# metric: each side's median and quartiles, the ratio of the medians,
-# and in how many pairs the change was the better of the two. The file
-# accumulates one batch of pairs per change, each on its own seeds; a
-# seed range picks one batch out.
+# benchmark's JSON verdict, tagged with side, workload, seed and the
+# run's results_digest. `table` reduces such a file to one markdown row
+# per workload and metric: each side's median and quartiles, the ratio
+# of the medians, and in how many pairs the change was the better of
+# the two; then one row per workload saying in how many pairs the two
+# sides' digests agree. The file accumulates one batch of pairs per
+# change, each on its own seeds; a seed range picks one batch out.
 set -eu
 
 here="$(cd "$(dirname "$0")/.." && pwd)"
@@ -29,8 +30,9 @@ run)
 		for side in $order; do
 			dir="$here"
 			[ "$side" = parent ] && dir="$parent"
-			line="$(bash "$dir/bench/run.sh" --workload "$workload" --seed "$((seed + i))" --seconds 26 --trace 0 | tail -n 1)"
-			printf '{"side":"%s","workload":"%s","seed":%d,"run":%s}\n' "$side" "$workload" "$((seed + i))" "$line"
+			out="$(bash "$dir/bench/run.sh" --workload "$workload" --seed "$((seed + i))" --seconds 26 --trace 0)"
+			digest="$(printf '%s\n' "$out" | sed -n 's/^results_digest \([0-9a-f]*\) .*/\1/p')"
+			printf '{"side":"%s","workload":"%s","seed":%d,"digest":"%s","run":%s}\n' "$side" "$workload" "$((seed + i))" "$digest" "$(printf '%s\n' "$out" | tail -n 1)"
 		done
 		i=$((i + 1))
 	done
@@ -64,9 +66,22 @@ table)
 							quantile(c, nc, .5) / quantile(p, np, .5), won, np }'
 		done
 	done
+	rows="$(for workload in one-shot-large sweep-hot protocol-mix tiny-durable; do
+		grep "\"workload\":\"$workload\"" "$2" |
+			sed -n 's/.*"side":"\([a-z]*\)".*"seed":\([0-9]*\),"digest":"\([0-9a-f]*\)".*/\2 \1 \3/p' |
+			sort -k1,1n -k2,2r |
+			awk -v w="$workload" -v lo="${3:-0}" -v hi="${4:-2147483647}" '
+				$1 < lo || $1 > hi { next }
+				$2 == "parent" { seed = $1; d = $3 }
+				$2 == "change" && $1 == seed { n++; if ($3 != "" && $3 == d) same++ }
+				END { if (n > 0) printf "| %s | %d of %d |\n", w, same, n }'
+	done)"
+	if [ -n "$rows" ]; then # runs recorded before digests were kept have none
+		printf '\n| workload | pairs whose results_digest agrees |\n|---|---:|\n%s\n' "$rows"
+	fi
 	;;
 *)
-	sed -n '2,17p' "$0" >&2
+	sed -n '2,18p' "$0" >&2
 	exit 2
 	;;
 esac
