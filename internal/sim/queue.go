@@ -120,6 +120,15 @@ func (q *eventQueue) advance() {
 	} else {
 		i := bits.TrailingZeros64(q.nonEmpty)
 		b := q.later[i]
+		q.later[i] = q.later[i][:0]
+		q.nonEmpty &^= 1 << i
+		if len(b) == 1 {
+			// Sparse traffic: the bucket's one event is the next
+			// instant, read in place. Pushes may reuse the array, but
+			// only after Pop has copied that event out.
+			q.now, q.cur, q.head = b[0].at, b, 0
+			return
+		}
 		min := b[0].at
 		for k := 1; k < len(b); k++ {
 			if b[k].at < min {
@@ -141,8 +150,6 @@ func (q *eventQueue) advance() {
 				q.nonEmpty |= 1 << j
 			}
 		}
-		q.later[i] = q.later[i][:0]
-		q.nonEmpty &^= 1 << i
 		q.now, a = min, q.front
 	}
 	if len(a) > insertionMax && cap(q.tmp) < len(a) {
