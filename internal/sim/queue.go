@@ -25,11 +25,11 @@ import (
 // finds it, and a second moves that bucket's events at the minimum
 // straight into front, the next instant, sends its other events in
 // the minimum's block to their slots and drops the rest into strictly
-// lower buckets. Sparse traffic thus moves each event once, as a
-// bucket-only queue would, and an event is moved at most once per bit
-// of its delay above the sixth. Buckets above the redistributed one are
-// untouched — the new now agrees with the old on every bit at or above
-// theirs.
+// lower buckets; a bucket of one event is read in place. Sparse traffic
+// thus moves each event no more than a bucket-only queue would, and an
+// event is moved at most once per bit of its delay above the sixth.
+// Buckets above the redistributed one are untouched — the new now
+// agrees with the old on every bit at or above theirs.
 //
 // An instant is sorted by (from, seq) once, when it becomes current
 // (sortInstant), and Pop reads it off a cursor. A slot is emptied as
